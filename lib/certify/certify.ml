@@ -295,18 +295,9 @@ let scalar_value (ds : Registry.dataset) query =
   match query with
   | Query.Count None -> Some (float_of_int ds.Registry.rows)
   | Query.Count (Some { column; op; threshold }) ->
-      let sat v =
-        match op with
-        | Query.Le -> v <= threshold
-        | Query.Lt -> v < threshold
-        | Query.Ge -> v >= threshold
-        | Query.Gt -> v > threshold
-      in
       Some
         (float_of_int
-           (Array.fold_left
-              (fun acc v -> if sat v then acc + 1 else acc)
-              0 (col column).Registry.values))
+           (Synopsis.count (Registry.synopsis ds (col column)) op threshold))
   | Query.Sum { column } ->
       Some (Dp_math.Summation.sum (col column).Registry.values)
   | Query.Mean { column } ->

@@ -8,9 +8,10 @@
     the engine can report a hit-rate.
 
     Entries carry the mechanism and face-value budget of the original
-    release so a hit can be audited without re-planning the query —
-    planning touches the raw data (an O(n) scan), and skipping it is
-    what makes a cache hit cheap. *)
+    release so a hit can be audited without re-planning the query:
+    planning touches the raw data (a column pass for sum and mean, a
+    rank search on the column's synopsis otherwise), and a hit skips it
+    along with the ledger charge, the journal and the noise draw. *)
 
 type entry = {
   answer : Planner.answer;

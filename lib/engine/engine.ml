@@ -191,6 +191,13 @@ let journal_append t record =
           t.journal_failed <- true;
           Error (Fatal msg))
 
+(* Close a timed phase: one clock read gives the duration that both the
+   phase's latency histogram and its span record. *)
+let end_phase t scope h latency t0 =
+  let dur_ns = Dp_obs.Clock.elapsed_ns t0 in
+  Dp_obs.Span.end_at t.trace h ~dur_ns;
+  Dp_obs.Metrics.observe scope latency dur_ns
+
 let register_serving t (ds : Registry.dataset) =
   match Registry.register t.registry ds with
   | Error _ as e -> e
@@ -314,9 +321,10 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
       in
       let norm = Query.normalize query in
       (* Cache before planning: a hit replays the stored release without
-         touching the raw data (planning is an O(n) scan), and without
-         consulting the ledger — post-processing is free even after the
-         budget is exhausted, and still served in degraded mode. *)
+         touching the raw data (planning reads a column or its synopsis,
+         whose first use sorts the column), and without consulting the
+         ledger — post-processing is free even after the budget is
+         exhausted, and still served in degraded mode. *)
       let key = Printf.sprintf "%s|eps=%.12g|%s" ds.name eps norm in
       let cached =
         if ds.policy.cache then begin
@@ -365,12 +373,9 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
                })
       | None -> (
           let p0 = Dp_obs.Clock.now_ns () in
-          let planned =
-            Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_plan (fun () ->
-                Planner.plan ds ~epsilon:eps query)
-          in
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Plan_ns
-            (Dp_obs.Clock.elapsed_ns p0);
+          let h = Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_plan p0 in
+          let planned = Planner.plan ds ~epsilon:eps query in
+          end_phase t sv.scope h Dp_obs.Name.Plan_ns p0;
           match planned with
           | Error msg ->
               ignore
@@ -394,12 +399,13 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
               | Ok () -> (
               let before = Ledger.spent sv.ledger in
               let c0 = Dp_obs.Clock.now_ns () in
-              let charge_result =
-                Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_charge
-                  (fun () -> Ledger.spend sv.ledger ?analyst sp.Planner.charge)
+              let h =
+                Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0
               in
-              Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
-                (Dp_obs.Clock.elapsed_ns c0);
+              let charge_result =
+                Ledger.spend sv.ledger ?analyst sp.Planner.charge
+              in
+              end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
               match charge_result with
               | Error rejection ->
                   sv.rejected <- sv.rejected + 1;
@@ -461,16 +467,17 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
                   | Ok () -> (
                       Faults.check t.faults Faults.Crash_after_charge;
                       let n0 = Dp_obs.Clock.now_ns () in
-                      let drawn =
-                        Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_noise
-                          (fun () ->
-                            Faults.with_retries ~jitter:t.retry_rng
-                              (fun ~attempt ->
-                                Faults.check t.faults ~attempt Faults.Rng;
-                                plan.Planner.run t.rng))
+                      let h =
+                        Dp_obs.Span.begin_at t.trace ~dataset
+                          Dp_obs.Name.Sp_noise n0
                       in
-                      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Noise_ns
-                        (Dp_obs.Clock.elapsed_ns n0);
+                      let drawn =
+                        Faults.with_retries ~jitter:t.retry_rng
+                          (fun ~attempt ->
+                            Faults.check t.faults ~attempt Faults.Rng;
+                            plan.Planner.run t.rng)
+                      in
+                      end_phase t sv.scope h Dp_obs.Name.Noise_ns n0;
                       match drawn with
                       | Error msg ->
                           withhold "rng" (Transient ("rng exhausted: " ^ msg))
@@ -518,25 +525,24 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
 let submit t ?analyst ?epsilon ~dataset query =
   match Hashtbl.find_opt t.servings dataset with
   | None -> Error (Unknown_dataset dataset)
-  | Some sv ->
+  | Some sv -> (
       let t0 = Dp_obs.Clock.now_ns () in
-      let h = Dp_obs.Span.begin_ t.trace ~dataset Dp_obs.Name.Sp_submit in
-      Fun.protect
-        ~finally:(fun () ->
-          Dp_obs.Span.end_ t.trace h;
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Submit_ns
-            (Dp_obs.Clock.elapsed_ns t0))
-        (fun () ->
-          let result = submit_serving t sv ?analyst ?epsilon ~dataset query in
+      let h = Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_submit t0 in
+      match submit_serving t sv ?analyst ?epsilon ~dataset query with
+      | exception e ->
+          end_phase t sv.scope h Dp_obs.Name.Submit_ns t0;
+          raise e
+      | result ->
           (match result with
-           | Ok r ->
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_face
-                 r.requested.Privacy.epsilon;
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_charged
-                 r.charged.Privacy.epsilon;
-               Dp_obs.Span.tag t.trace h Dp_obs.Name.T_cache_hit
-                 (if r.cache_hit then 1. else 0.)
-           | Error _ -> ());
+          | Ok r ->
+              Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_face
+                r.requested.Privacy.epsilon;
+              Dp_obs.Span.tag t.trace h Dp_obs.Name.T_eps_charged
+                r.charged.Privacy.epsilon;
+              Dp_obs.Span.tag t.trace h Dp_obs.Name.T_cache_hit
+                (if r.cache_hit then 1. else 0.)
+          | Error _ -> ());
+          end_phase t sv.scope h Dp_obs.Name.Submit_ns t0;
           result)
 
 let submit_text t ?analyst ?epsilon ~dataset text =
@@ -695,12 +701,11 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
             | Ok () -> (
             let before = Ledger.spent sv.ledger in
             let c0 = Dp_obs.Clock.now_ns () in
-            let charge_result =
-              Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_charge
-                (fun () -> Ledger.spend sv.ledger ?analyst charge)
+            let h =
+              Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0
             in
-            Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
-              (Dp_obs.Clock.elapsed_ns c0);
+            let charge_result = Ledger.spend sv.ledger ?analyst charge in
+            end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
             match charge_result with
             | Error rejection ->
                 sv.rejected <- sv.rejected + 1;
@@ -753,12 +758,12 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                     Faults.check t.faults Faults.Crash_after_charge;
                     let gate_hook check =
                       let g0 = Dp_obs.Clock.now_ns () in
-                      let report =
-                        Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_gate
-                          check
+                      let h =
+                        Dp_obs.Span.begin_at t.trace ~dataset
+                          Dp_obs.Name.Sp_gate g0
                       in
-                      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Gate_ns
-                        (Dp_obs.Clock.elapsed_ns g0);
+                      let report = check () in
+                      end_phase t sv.scope h Dp_obs.Name.Gate_ns g0;
                       report
                     in
                     let outcome =
@@ -848,12 +853,9 @@ let train t ?analyst ~dataset params =
   | None -> Error (Unknown_dataset dataset)
   | Some sv ->
       let t0 = Dp_obs.Clock.now_ns () in
-      let h = Dp_obs.Span.begin_ t.trace ~dataset Dp_obs.Name.Sp_submit in
+      let h = Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_submit t0 in
       Fun.protect
-        ~finally:(fun () ->
-          Dp_obs.Span.end_ t.trace h;
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Train_ns
-            (Dp_obs.Clock.elapsed_ns t0))
+        ~finally:(fun () -> end_phase t sv.scope h Dp_obs.Name.Train_ns t0)
         (fun () ->
           let result = train_serving t sv ?analyst ~dataset params in
           (match result with
@@ -965,12 +967,11 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
             | Ok () -> (
             let before = Ledger.spent sv.ledger in
             let c0 = Dp_obs.Clock.now_ns () in
-            let charge_result =
-              Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_charge
-                (fun () -> Ledger.spend sv.ledger ?analyst charge)
+            let h =
+              Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0
             in
-            Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Charge_ns
-              (Dp_obs.Clock.elapsed_ns c0);
+            let charge_result = Ledger.spend sv.ledger ?analyst charge in
+            end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
             match charge_result with
             | Error rejection ->
                 sv.rejected <- sv.rejected + 1;
@@ -1470,21 +1471,21 @@ let[@dp.sanitizer] open_journal t path =
   if t.journal <> None then Error "a journal is already attached"
   else begin
     let r0 = Dp_obs.Clock.now_ns () in
-    let h = Dp_obs.Span.begin_ t.trace Dp_obs.Name.Sp_recovery in
-    let result =
-      Fun.protect
-        ~finally:(fun () ->
-          Dp_obs.Span.end_ t.trace h;
-          Dp_obs.Metrics.observe
-            (Dp_obs.Metrics.global t.obs)
-            Dp_obs.Name.Recovery_ns
-            (Dp_obs.Clock.elapsed_ns r0))
-        (fun () -> open_journal_inner t path)
-    in
-    (match result with
-    | Ok r -> Dp_obs.Span.tag t.trace h Dp_obs.Name.T_records (float_of_int r.records)
-    | Error _ -> ());
-    result
+    let h = Dp_obs.Span.begin_at t.trace ~dataset:"" Dp_obs.Name.Sp_recovery r0 in
+    let scope = Dp_obs.Metrics.global t.obs in
+    match open_journal_inner t path with
+    | exception e ->
+        end_phase t scope h Dp_obs.Name.Recovery_ns r0;
+        raise e
+    | result ->
+        (* tagged before it ends: a tag on an ended span is lost *)
+        (match result with
+        | Ok r ->
+            Dp_obs.Span.tag t.trace h Dp_obs.Name.T_records
+              (float_of_int r.records)
+        | Error _ -> ());
+        end_phase t scope h Dp_obs.Name.Recovery_ns r0;
+        result
   end
 
 (* ------------------------------------------------------------------ *)

@@ -29,13 +29,6 @@ let rdp_delta (s : Registry.schema) =
 let gaussian_sigma ~l2 ~epsilon ~delta =
   l2 *. sqrt (2. *. log (1.25 /. delta)) /. epsilon
 
-let satisfies op threshold v =
-  match op with
-  | Query.Le -> v <= threshold
-  | Query.Lt -> v < threshold
-  | Query.Ge -> v >= threshold
-  | Query.Gt -> v > threshold
-
 (* ------------------------------------------------------------------ *)
 (* Static half: mechanism selection and pricing. Everything below is a
    function of the schema and the query alone — no column data, no
@@ -112,6 +105,8 @@ let spec (s : Registry.schema) ~epsilon query =
         in
         (match pred with
         | None -> build ()
+        | Some { threshold; _ } when not (Float.is_finite threshold) ->
+            Error (Printf.sprintf "count threshold must be finite, got %g" threshold)
         | Some { column; _ } -> with_column column (fun _ -> build ()))
     | Query.Sum { column } ->
         with_column column (fun c ->
@@ -147,6 +142,8 @@ let spec (s : Registry.schema) ~epsilon query =
                   epsilon;
                   charge;
                 })
+    | Query.Quantile { q; _ } when not (q >= 0. && q <= 1.) ->
+        Error (Printf.sprintf "quantile q must be in [0, 1], got %g" q)
     | Query.Quantile { column; _ } ->
         with_column column (fun _ ->
             Ok
@@ -159,6 +156,8 @@ let spec (s : Registry.schema) ~epsilon query =
               })
     | Query.Cdf { column; points } ->
         if Array.length points = 0 then Error "cdf needs at least one point"
+        else if not (Array.for_all Float.is_finite points) then
+          Error "cdf points must be finite"
         else
           with_column column (fun _ ->
               let mechanism, charge = cell_spec s ~epsilon in
@@ -211,15 +210,16 @@ let runner (ds : Registry.dataset) (sp : spec) =
     | Some c -> c
     | None -> invalid_arg ("Planner.runner: missing column " ^ name)
   in
+  (* count, histogram, cdf and quantile read the column only in sorted
+     order: they are answered by rank from its synopsis *)
+  let synopsis name = Registry.synopsis ds (col name) in
   match sp.query with
   | Query.Count pred ->
       let value =
         match pred with
         | None -> ds.rows
         | Some { column; op; threshold } ->
-            Array.fold_left
-              (fun acc v -> if satisfies op threshold v then acc + 1 else acc)
-              0 (col column).values
+            Synopsis.count (synopsis column) op threshold
       in
       integer_run s ~epsilon ~isens:1 ~value
   | Query.Sum { column } ->
@@ -231,36 +231,24 @@ let runner (ds : Registry.dataset) (sp : spec) =
       let value = Dp_math.Summation.mean (col column).values in
       fun g -> Scalar (Laplace.release lap ~value g)
   | Query.Histogram { column; bins } ->
-      let c = col column in
-      let h = Dp_stats.Histogram.of_samples ~lo:c.lo ~hi:c.hi ~bins c.values in
-      let counts = Array.init bins (Dp_stats.Histogram.count h) in
-      let noisy = cell_run s ~epsilon counts in
+      let noisy = cell_run s ~epsilon (Synopsis.histogram (synopsis column) ~bins) in
       fun g ->
         (* clamping at zero is post-processing *)
         Vector (Array.map (Float.max 0.) (noisy g))
   | Query.Quantile { column; q } ->
-      let c = col column in
+      let sy = synopsis column in
       fun g ->
-        Scalar (Dp_learn.Quantile.estimate ~epsilon ~q ~lo:c.lo ~hi:c.hi c.values g)
+        Scalar
+          (Dp_learn.Quantile.estimate_sorted ~epsilon ~q ~lo:sy.lo ~hi:sy.hi
+             ~log_gaps:sy.log_gaps sy.sorted g)
   | Query.Cdf { column; points } ->
-      let c = col column in
+      let sy = synopsis column in
       (* Cell counts between consecutive thresholds; noising the cells
          (L1 sensitivity 2) and post-processing a running sum beats
          noising the k cumulative counts directly. *)
-      let sorted = Array.copy c.values in
-      Array.sort compare sorted;
-      let n = Array.length sorted in
-      let rank t =
-        (* #values <= t via binary search on the sorted copy *)
-        let lo = ref 0 and hi = ref n in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if sorted.(mid) <= t then lo := mid + 1 else hi := mid
-        done;
-        !lo
-      in
+      let n = ds.rows in
       let k = Array.length points in
-      let cum = Array.map rank points in
+      let cum = Array.map (Synopsis.rank_le sy) points in
       let cells =
         Array.init (k + 1) (fun i ->
             let prev = if i = 0 then 0 else cum.(i - 1) in

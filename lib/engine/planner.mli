@@ -28,7 +28,9 @@
     engine of [dpkit analyze]. {!plan} attaches the data-dependent
     fresh-noise closure on top of an identically-priced spec, so a
     static analysis and a live run of the same workload charge the
-    ledger bit-identically. *)
+    ledger bit-identically. The closure reads count, histogram, cdf
+    and quantile off the column's {!Synopsis} (by rank, no per-release
+    scan or sort) and sum and mean off one pass over the column. *)
 
 type answer = Scalar of float | Vector of float array
 
@@ -53,8 +55,9 @@ type plan = {
 
 val spec : Registry.schema -> epsilon:float -> Query.t -> (spec, string) result
 (** Static planning: no data access, no sampling. [Error] explains an
-    unknown column, non-positive ε, or a query/schema mismatch; it
-    never raises. *)
+    unknown column, non-positive ε, a non-finite count threshold or
+    cdf point, a quantile outside [\[0, 1\]], or a query/schema
+    mismatch; it never raises. *)
 
 val plan : Registry.dataset -> epsilon:float -> Query.t -> (plan, string) result
 (** [plan ds ~epsilon q] = [spec (Registry.schema_of ds) ~epsilon q]

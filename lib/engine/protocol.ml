@@ -138,13 +138,21 @@ let error_lines (e : Engine.error) =
       [ Printf.sprintf "err unknown-dataset %s" name ]
   | Engine.Bad_query msg -> [ Printf.sprintf "err bad-query %s" msg ]
   | Engine.Budget_exceeded rej ->
+      let requested = rej.Ledger.requested and remaining = rej.Ledger.remaining in
       [
-        Printf.sprintf "err budget-exceeded requested=%s remaining=%s%s"
-          (fstr rej.Ledger.requested.Privacy.epsilon)
-          (fstr rej.Ledger.remaining.Privacy.epsilon)
+        Printf.sprintf "err budget-exceeded requested=%s remaining=%s%s%s"
+          (fstr requested.Privacy.epsilon)
+          (fstr remaining.Privacy.epsilon)
           (match rej.Ledger.analyst with
           | Some a -> " analyst=" ^ a
-          | None -> "");
+          | None -> "")
+          (* a refusal can be about delta alone; pure-epsilon replies
+             keep their old form *)
+          (if requested.Privacy.delta = 0. && remaining.Privacy.delta = 0. then ""
+           else
+             Printf.sprintf " requested-delta=%s remaining-delta=%s"
+               (fstr requested.Privacy.delta)
+               (fstr remaining.Privacy.delta));
       ]
   | Engine.Degraded { dataset; remaining; low_water } ->
       [

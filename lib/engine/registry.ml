@@ -23,11 +23,14 @@ let default_policy ~total =
     low_water = 0.;
   }
 
+type synopses = Synopsis.t Lazy.t array
+
 type dataset = {
   name : string;
   columns : column array;
   rows : int;
   policy : policy;
+  synopses : synopses;
 }
 
 let dataset ~name ~policy ~columns =
@@ -55,6 +58,10 @@ let dataset ~name ~policy ~columns =
             (Printf.sprintf "Registry.dataset: column %S has lo >= hi" c.name);
         if Array.length c.values <> rows then
           invalid_arg "Registry.dataset: ragged columns";
+        if not (Array.for_all Float.is_finite c.values) then
+          invalid_arg
+            (Printf.sprintf "Registry.dataset: column %S has a non-finite value"
+               c.name);
         {
           c with
           values =
@@ -62,10 +69,27 @@ let dataset ~name ~policy ~columns =
         })
       columns
   in
-  { name; columns = Array.of_list columns; rows; policy }
+  let columns = Array.of_list columns in
+  (* the clamped arrays are never mutated after this point, so a
+     synopsis built from one stays valid for the dataset's lifetime *)
+  let synopses =
+    Array.map
+      (fun (c : column) -> lazy (Synopsis.build ~lo:c.lo ~hi:c.hi c.values))
+      columns
+  in
+  { name; columns; rows; policy; synopses }
 
 let column ds name =
   Array.find_opt (fun (c : column) -> c.name = name) ds.columns
+
+let synopsis ds (c : column) =
+  let rec go i =
+    if i = Array.length ds.columns then
+      invalid_arg ("Registry.synopsis: no column " ^ c.name)
+    else if ds.columns.(i).name = c.name then Lazy.force ds.synopses.(i)
+    else go (i + 1)
+  in
+  go 0
 
 type col_schema = { col : string; lo : float; hi : float }
 

@@ -30,20 +30,34 @@ val default_policy : total:Privacy.budget -> policy
 (** Basic composition, default ε = 0.1 per query, no analyst caps,
     universe 64, cache on, no low-water mark. *)
 
+type synopses
+(** Per-column {!Synopsis.t}s, built on first use; read them through
+    {!synopsis}. *)
+
 type dataset = {
   name : string;
   columns : column array;
   rows : int;
   policy : policy;
+  synopses : synopses;
 }
 
 val dataset :
   name:string -> policy:policy -> columns:column list -> dataset
 (** Validates and clamps. @raise Invalid_argument on an empty name or
     column set, empty/ragged columns, duplicate column names,
-    [lo >= hi], or a non-positive [default_epsilon]. *)
+    [lo >= hi], a non-finite value (NaN would escape the clamp and
+    make a neighbour's release distinguishable), or a non-positive
+    [default_epsilon]. *)
 
 val column : dataset -> string -> column option
+
+val synopsis : dataset -> column -> Synopsis.t
+(** The sorted synopsis of one of the dataset's columns (as returned
+    by {!column}). Built on the first call — an O(n log n) sort plus n
+    logarithms — and held by the dataset from then on; the clamped
+    column is immutable, so it never needs rebuilding.
+    @raise Invalid_argument if the column is not the dataset's. *)
 
 (** {2 Schemas}
 

@@ -20,8 +20,10 @@ let checks =
 
 (* ---------- F1: row taint ---------- *)
 
-(* calls whose result is raw protected data *)
-let row_sources = [ ("Registry", "column"); ("Dataset", "row") ]
+(* calls whose result is raw protected data; a column's synopsis is
+   the same rows in sorted order *)
+let row_sources =
+  [ ("Registry", "column"); ("Registry", "synopsis"); ("Dataset", "row") ]
 
 (* record fields holding raw per-individual values; reading one
    taints the result. [.values] is THE raw-data access path in this
@@ -63,7 +65,7 @@ let sanitizer_modules =
    finding, so laundering cannot be introduced by a stray attribute *)
 let sanitizer_allowlist =
   [
-    ("Quantile", "estimate");  (* exponential mechanism over ranks *)
+    ("Quantile", "estimate_sorted");  (* exponential mechanism over ranks *)
     ("Train", "run");  (* Gibbs-posterior / objective-perturbation samplers *)
     ("Train", "public_facts");  (* design's public projection: names+bounds *)
     ("Planner", "cell_run");  (* per-cell histogram noising *)

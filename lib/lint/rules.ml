@@ -276,8 +276,8 @@ let obs_modules = [ "Metrics"; "Span"; "Obs"; "Dp_obs"; "Trace"; "Draws" ]
 
 let record_fns =
   [
-    "incr"; "add"; "set_counter"; "set_gauge"; "observe"; "begin_"; "with_";
-    "tag"; "record"; "dataset";
+    "incr"; "add"; "set_counter"; "set_gauge"; "observe"; "begin_";
+    "begin_at"; "with_"; "tag"; "record"; "dataset";
   ]
 
 let string_builders =

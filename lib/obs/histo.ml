@@ -25,17 +25,19 @@ let reset t =
   t.min <- max_int;
   t.max <- 0
 
-(* floor log2, via int shifts: int refs do not box, float/Int64 paths
-   would. *)
-let bucket_of v =
+(* floor log2, via a binary search over int shifts (six steps cover
+   the 63-bit range): int refs do not box, float/Int64 paths would. *)
+let[@inline] bucket_of v =
   if v < 2 then 0
   else begin
     let x = ref v and b = ref 0 in
-    while !x > 1 do
-      x := !x lsr 1;
-      incr b
-    done;
-    if !b < n_buckets then !b else n_buckets - 1
+    if !x lsr 32 <> 0 then (x := !x lsr 32; b := 32);
+    if !x lsr 16 <> 0 then (x := !x lsr 16; b := !b + 16);
+    if !x lsr 8 <> 0 then (x := !x lsr 8; b := !b + 8);
+    if !x lsr 4 <> 0 then (x := !x lsr 4; b := !b + 4);
+    if !x lsr 2 <> 0 then (x := !x lsr 2; b := !b + 2);
+    if !x lsr 1 <> 0 then b := !b + 1;
+    !b
   end
 
 let record t v =

@@ -2,7 +2,10 @@
 
     [begin_] starts a span at the current nesting depth; [end_] stamps
     its duration ({!Clock} nanoseconds) and pushes it into a fixed-size
-    ring, overwriting the oldest finished span. Tags are
+    ring, overwriting the oldest finished span. Frames and ring slots
+    are preallocated, so recording a span allocates nothing, and
+    {!begin_at}/{!end_at} take timestamps the caller already read for a
+    latency histogram, so such a span reads no clock either. Tags are
     [Name.tag -> float] pairs, at most {!tag_budget} per span — keys are
     a closed enum and values are numeric, so spans cannot carry query
     payloads or released values. The [dataset] label must be a dataset
@@ -29,13 +32,23 @@ val begin_ : t -> ?dataset:string -> Name.span -> handle
 (** Start a span. On a disabled tracer returns a dead handle; [tag] and
     [end_] on it are no-ops. *)
 
+val begin_at : t -> dataset:string -> Name.span -> int -> handle
+(** [begin_at t ~dataset name start_ns]: {!begin_} with the start time
+    supplied (a {!Clock.now_ns} reading). *)
+
 val tag : t -> handle -> Name.tag -> float -> unit
-(** Attach a numeric tag; beyond the per-span budget the tag is dropped
-    and counted in [dropped_tags]. *)
+(** Attach a numeric tag to an open span; beyond the per-span budget
+    the tag is dropped and counted in [dropped_tags]. *)
 
 val end_ : t -> handle -> unit
-(** Finish the span and store it in the ring. Calling [end_] twice on
-    the same handle stores the span twice — don't. *)
+(** Finish the span and store it in the ring. Spans nest: ending one
+    also closes any span begun inside it that is still open (one
+    abandoned by an exception), and the handles of those spans must not
+    be used again. Calling [end_] twice on the same handle stores the
+    span twice — don't. *)
+
+val end_at : t -> handle -> dur_ns:int -> unit
+(** {!end_} with the duration supplied. *)
 
 val with_ : t -> ?dataset:string -> Name.span -> (unit -> 'a) -> 'a
 (** [with_ t name f] wraps [f] in a span; the span is ended even if [f]

@@ -20,6 +20,10 @@ val create : lo:float -> hi:float -> bins:int -> t
 val bin_index : t -> float -> int option
 (** The bin containing the value, or [None] when out of range. *)
 
+val clamped_index : t -> float -> int
+(** The bin {!add} and {!of_samples} count the value in: out-of-range
+    values go to the edge bins. Non-decreasing in the value. *)
+
 val add : t -> float -> t
 (** Increment the bin containing the value; out-of-range values are
     clamped into the edge bins (so mass is never silently dropped). *)

@@ -10,7 +10,7 @@ set -u
 
 DPKIT="$1"
 
-# --- 1. the flow corpus: exactly 7 findings, 1×F1 + 3×F2 + 3×F3 ----
+# --- 1. the flow corpus: exactly 8 findings, 2×F1 + 3×F2 + 3×F3 ----
 out=$("$DPKIT" flow --format json flow_corpus)
 if [ $? -eq 0 ]; then
   echo "FAIL: corpus flow exited 0 (seeded violations not detected)"
@@ -21,14 +21,14 @@ n=$(printf '%s\n' "$out" | grep -c '"rule"')
 f1=$(printf '%s\n' "$out" | grep -c '"rule":"F1"')
 f2=$(printf '%s\n' "$out" | grep -c '"rule":"F2"')
 f3=$(printf '%s\n' "$out" | grep -c '"rule":"F3"')
-if [ "$n" -ne 7 ] || [ "$f1" -ne 1 ] || [ "$f2" -ne 3 ] || [ "$f3" -ne 3 ]; then
-  echo "FAIL: expected 7 corpus findings (1 F1, 3 F2, 3 F3), got $n ($f1/$f2/$f3)"
+if [ "$n" -ne 8 ] || [ "$f1" -ne 2 ] || [ "$f2" -ne 3 ] || [ "$f3" -ne 3 ]; then
+  echo "FAIL: expected 8 corpus findings (2 F1, 3 F2, 3 F3), got $n ($f1/$f2/$f3)"
   printf '%s\n' "$out"
   exit 1
 fi
 
-for f in launder_main charge_branch fire_helper wrap_helper smuggle_main \
-         seed_engine seed_net; do
+for f in launder_main synopsis_reply charge_branch fire_helper wrap_helper \
+         smuggle_main seed_engine seed_net; do
   if ! printf '%s\n' "$out" | grep -q "$f\.ml"; then
     echo "FAIL: no finding reported in $f.ml"
     printf '%s\n' "$out"
@@ -41,6 +41,7 @@ done
 text=$("$DPKIT" flow flow_corpus)
 for w in \
   "launder_helper.ml:7:12 row-tainted born" \
+  "synopsis_reply.ml:8:34 row-tainted born at Registry.synopsis" \
   "fire_main.ml:7:22 call to Fire_helper.fire" \
   "release_main.ml:11:2 call to Wrap_helper.wrap" \
   "smuggle_main.ml:10:27 certify-owned stream born" \
@@ -118,5 +119,5 @@ case "$real" in
     exit 1 ;;
 esac
 
-echo "flow: 7/7 corpus violations flagged with witnesses, lint blind to all,"
+echo "flow: 8/8 corpus violations flagged with witnesses, lint blind to all,"
 echo "      lint --flow parity holds, range exemptions + baseline honoured"

@@ -152,6 +152,37 @@ let test_planner_choices () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "planned with epsilon = 0"
 
+(* The rank search over a sorted column needs a total order, and NaN
+   would otherwise escape the clamp: a raw dataset [1;2;NaN;4] released
+   nan sums and means where its neighbour released finite ones. *)
+let test_registry_refuses_non_finite () =
+  let columns v =
+    [ { Registry.name = "x"; values = [| 1.; 2.; v; 4. |]; lo = 0.; hi = 5. } ]
+  in
+  List.iter
+    (fun v ->
+      match Registry.dataset ~name:"raw" ~policy:(demo_policy ()) ~columns:(columns v) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "registered a column holding %g" v)
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  ignore (Registry.dataset ~name:"raw" ~policy:(demo_policy ()) ~columns:(columns 3.))
+
+let test_spec_refuses_non_finite () =
+  let s = Registry.schema_of (demo_dataset ()) in
+  let refused what q =
+    match Planner.spec s ~epsilon:0.5 q with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "spec accepted %s" what
+  in
+  List.iter
+    (fun v ->
+      refused "a non-finite count threshold"
+        (Query.Count (Some { Query.column = "age"; op = Query.Ge; threshold = v }));
+      refused "a non-finite cdf point"
+        (Query.Cdf { column = "age"; points = [| 30.; v |] }))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  refused "a quantile outside [0, 1]" (Query.Quantile { column = "age"; q = Float.nan })
+
 (* ------------------------------------------------------------------ *)
 (* Ledger *)
 
@@ -434,6 +465,27 @@ let test_protocol () =
   Alcotest.(check bool) "exit detected" true (Protocol.is_quit " exit ");
   Alcotest.(check bool) "query is not quit" false (Protocol.is_quit "query d c")
 
+(* An RDP dataset registered without delta= keeps a total delta of 0
+   while the backend converts at 1e-6, so every discrete-Gaussian
+   release is refused on delta; the reply must say so. Pure-epsilon
+   refusals keep their delta-free form. *)
+let test_protocol_delta_refusal () =
+  let eng = Engine.create ~seed:42 () in
+  ignore (exec_one eng "register rdp0 rows=50 eps=1000 backend=rdp");
+  let reply = exec_one eng "query rdp0 count" in
+  Alcotest.(check bool)
+    "refused" true
+    (starts_with "err budget-exceeded requested=" reply);
+  Alcotest.(check bool)
+    "shows the binding delta" true
+    (contains ~sub:" requested-delta=1e-06 remaining-delta=0" reply);
+  ignore (exec_one eng "register pure rows=50 eps=0.15 default-eps=0.1");
+  ignore (exec_one eng "query pure count");
+  Alcotest.(check string)
+    "pure-epsilon refusal unchanged"
+    "err budget-exceeded requested=0.1 remaining=0.05"
+    (exec_one eng "query pure sum(age)")
+
 let test_determinism () =
   (* same seed, same request sequence -> byte-identical transcript *)
   let transcript () =
@@ -448,6 +500,226 @@ let test_determinism () =
       ]
   in
   Alcotest.(check (list string)) "deterministic" (transcript ()) (transcript ())
+
+(* ------------------------------------------------------------------ *)
+(* Reference release: the planner's runner as it was before column
+   synopses — every release re-scans the column (count, histogram) or
+   re-sorts it (cdf, quantile). The planner must keep releasing exactly
+   what this produces under the same PRNG state. *)
+
+module Scan_reference = struct
+  let gaussian_sigma ~l2 ~epsilon ~delta =
+    l2 *. sqrt (2. *. log (1.25 /. delta)) /. epsilon
+
+  let rdp_delta (ds : Registry.dataset) =
+    match ds.policy.backend with Ledger.Rdp { delta } -> Some delta | _ -> None
+
+  let satisfies op threshold v =
+    match op with
+    | Query.Le -> v <= threshold
+    | Query.Lt -> v < threshold
+    | Query.Ge -> v >= threshold
+    | Query.Gt -> v > threshold
+
+  let integer ds ~epsilon ~value g =
+    match rdp_delta ds with
+    | None ->
+        let m = Geometric_mech.create ~sensitivity:1 ~epsilon in
+        Planner.Scalar (float_of_int (Geometric_mech.release m ~value g))
+    | Some delta ->
+        let sigma = gaussian_sigma ~l2:1. ~epsilon ~delta in
+        let m = Discrete_gaussian.create ~sensitivity:1 ~sigma in
+        Planner.Scalar (float_of_int (Discrete_gaussian.release m ~value g))
+
+  let cells ds ~epsilon counts g =
+    match rdp_delta ds with
+    | None ->
+        let lap =
+          Laplace.create ~sensitivity:(Sensitivity.histogram ()) ~epsilon
+        in
+        Laplace.release_vector lap ~value:counts g
+    | Some delta ->
+        let sigma = gaussian_sigma ~l2:(sqrt 2.) ~epsilon ~delta in
+        Array.map
+          (fun c -> c +. float_of_int (Discrete_gaussian.sample_noise ~sigma g))
+          counts
+
+  let quantile ~epsilon ~q ~lo ~hi xs g =
+    let n = Array.length xs in
+    let sorted = Array.map (Dp_math.Numeric.clamp ~lo ~hi) xs in
+    Array.sort compare sorted;
+    let target = q *. float_of_int n in
+    let exponent = epsilon /. 2. in
+    let boundaries =
+      Array.init (n + 2) (fun i ->
+          if i = 0 then lo else if i = n + 1 then hi else sorted.(i - 1))
+    in
+    let log_weights =
+      Array.init (n + 1) (fun k ->
+          let len = boundaries.(k + 1) -. boundaries.(k) in
+          if len <= 0. then neg_infinity
+          else (-.exponent *. Float.abs (float_of_int k -. target)) +. log len)
+    in
+    let k = Dp_rng.Sampler.categorical_log ~log_weights g in
+    Dp_rng.Sampler.uniform ~lo:boundaries.(k) ~hi:boundaries.(k + 1) g
+
+  let run (ds : Registry.dataset) (sp : Planner.spec) g =
+    let epsilon = sp.epsilon in
+    let col name = Option.get (Registry.column ds name) in
+    match sp.query with
+    | Query.Count None -> integer ds ~epsilon ~value:ds.rows g
+    | Query.Count (Some { column; op; threshold }) ->
+        let value =
+          Array.fold_left
+            (fun acc v -> if satisfies op threshold v then acc + 1 else acc)
+            0 (col column).values
+        in
+        integer ds ~epsilon ~value g
+    | Query.Sum { column } ->
+        let lap = Laplace.create ~sensitivity:sp.sensitivity ~epsilon in
+        Planner.Scalar
+          (Laplace.release lap ~value:(Dp_math.Summation.sum (col column).values) g)
+    | Query.Mean { column } ->
+        let lap = Laplace.create ~sensitivity:sp.sensitivity ~epsilon in
+        Planner.Scalar
+          (Laplace.release lap
+             ~value:(Dp_math.Summation.mean (col column).values) g)
+    | Query.Histogram { column; bins } ->
+        let c = col column in
+        let h = Dp_stats.Histogram.of_samples ~lo:c.lo ~hi:c.hi ~bins c.values in
+        let counts = Array.init bins (Dp_stats.Histogram.count h) in
+        Planner.Vector (Array.map (Float.max 0.) (cells ds ~epsilon counts g))
+    | Query.Quantile { column; q } ->
+        let c = col column in
+        Planner.Scalar (quantile ~epsilon ~q ~lo:c.lo ~hi:c.hi c.values g)
+    | Query.Cdf { column; points } ->
+        let c = col column in
+        let sorted = Array.copy c.values in
+        Array.sort compare sorted;
+        let n = Array.length sorted in
+        let rank t =
+          Array.fold_left (fun acc v -> if v <= t then acc + 1 else acc) 0 sorted
+        in
+        let k = Array.length points in
+        let cum = Array.map rank points in
+        let counts =
+          Array.init (k + 1) (fun i ->
+              let prev = if i = 0 then 0 else cum.(i - 1) in
+              let next = if i = k then n else cum.(i) in
+              float_of_int (next - prev))
+        in
+        let noisy = cells ds ~epsilon counts g in
+        let fn = float_of_int n in
+        let acc = ref 0. and best = ref 0. in
+        Planner.Vector
+          (Array.init k (fun i ->
+               acc := !acc +. Float.max 0. noisy.(i);
+               let v = Dp_math.Numeric.clamp ~lo:0. ~hi:1. (!acc /. fn) in
+               best := Float.max !best v;
+               !best))
+end
+
+(* A column with ties (signed zeros among them), values on histogram bin
+   edges and on (or beyond) both bounds, and a query of any face whose
+   thresholds, cdf points and bin counts are drawn from the same pool. *)
+let scan_case_gen =
+  let open QCheck.Gen in
+  let* lo, hi =
+    oneofl [ (0., 1.); (-4., 4.); (18., 80.); (0., 200_000.); (-1e-3, 7.5) ]
+  in
+  let edge_bins = [ 1; 2; 3; 7; 10; 64 ] in
+  let edges =
+    List.concat_map
+      (fun b ->
+        List.init (b + 1) (fun k ->
+            lo +. (float_of_int k *. (hi -. lo) /. float_of_int b)))
+      edge_bins
+  in
+  let span = hi -. lo in
+  let value =
+    frequency
+      [
+        (3, float_range lo hi);
+        (2, oneofl edges);
+        (1, oneofl [ lo; hi; lo -. span; hi +. span; 0.; -0. ]);
+      ]
+  in
+  let* rows = frequency [ (1, return 1); (4, int_range 2 40); (2, int_range 41 400) ] in
+  let* pool = list_size (int_range 1 6) value in
+  let* xs = array_size (return rows) (frequency [ (2, value); (1, oneofl pool) ]) in
+  let* ys = array_size (return rows) value in
+  let point = frequency [ (2, oneofl (Array.to_list xs)); (2, value) ] in
+  let* column = oneofl [ "x"; "y" ] in
+  let* query =
+    oneof
+      [
+        return (Query.Count None);
+        map2
+          (fun op threshold ->
+            Query.Count (Some { Query.column; op; threshold }))
+          (oneofl [ Query.Le; Query.Lt; Query.Ge; Query.Gt ])
+          point;
+        return (Query.Sum { column });
+        return (Query.Mean { column });
+        map
+          (fun bins -> Query.Histogram { column; bins })
+          (frequency [ (2, oneofl edge_bins); (1, int_range 1 70) ]);
+        map
+          (fun q -> Query.Quantile { column; q })
+          (frequency [ (1, oneofl [ 0.; 1. ]); (3, float_range 0. 1.) ]);
+        map
+          (fun points ->
+            Query.Cdf
+              { column; points = Array.of_list (List.sort_uniq compare points) })
+          (list_size (int_range 1 6) point);
+      ]
+  in
+  let* backend =
+    oneofl [ Ledger.Basic; Ledger.Rdp { delta = 1e-3 }; Ledger.Rdp { delta = 1e-6 } ]
+  in
+  let* epsilon = oneofl [ 0.05; 0.5; 1.; 3. ] in
+  let* seed = int_bound 1_000_000 in
+  return (lo, hi, xs, ys, query, backend, epsilon, seed)
+
+let print_scan_case (lo, hi, xs, ys, query, backend, epsilon, seed) =
+  let floats a = String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Format.asprintf "[%g,%g] x=[%s] y=[%s] %s backend=%a eps=%g seed=%d" lo hi
+    (floats xs) (floats ys) (Query.normalize query) Ledger.pp_backend backend
+    epsilon seed
+
+let bit_identical a b =
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Planner.Scalar x, Planner.Scalar y -> same x y
+  | Planner.Vector xs, Planner.Vector ys ->
+      Array.length xs = Array.length ys && Array.for_all2 same xs ys
+  | _ -> false
+
+let prop_release_matches_scan (lo, hi, xs, ys, query, backend, epsilon, seed) =
+  let policy =
+    {
+      (Registry.default_policy ~total:(Privacy.approx ~epsilon:1e9 ~delta:0.5))
+      with
+      Registry.backend;
+    }
+  in
+  let ds =
+    Registry.dataset ~name:"scan" ~policy
+      ~columns:
+        [
+          { Registry.name = "x"; values = xs; lo; hi };
+          { Registry.name = "y"; values = ys; lo; hi };
+        ]
+  in
+  match Planner.plan ds ~epsilon query with
+  | Error msg -> QCheck.Test.fail_reportf "plan refused: %s" msg
+  | Ok plan ->
+      (* one release, then a second from the advanced state: the
+         planner's closure must not consume draws the scan did not *)
+      let g = Dp_rng.Prng.create seed and g' = Dp_rng.Prng.create seed in
+      let a1 = plan.Planner.run g and b1 = Scan_reference.run ds plan.spec g' in
+      let a2 = plan.Planner.run g and b2 = Scan_reference.run ds plan.spec g' in
+      bit_identical a1 b1 && bit_identical a2 b2
 
 (* ------------------------------------------------------------------ *)
 (* qcheck properties *)
@@ -490,6 +762,10 @@ let qcheck_tests =
       ]
   in
   [
+    Test.make ~name:"planner release is bit-identical to a column scan"
+      ~count:2000
+      (make ~print:print_scan_case scan_case_gen)
+      prop_release_matches_scan;
     Test.make ~name:"parse . normalize is the identity" ~count:500
       (make ~print:Query.normalize query_gen)
       (fun q ->
@@ -558,6 +834,10 @@ let () =
         [
           Alcotest.test_case "mechanism and sensitivity" `Quick
             test_planner_choices;
+          Alcotest.test_case "registry refuses non-finite values" `Quick
+            test_registry_refuses_non_finite;
+          Alcotest.test_case "spec refuses non-finite thresholds" `Quick
+            test_spec_refuses_non_finite;
         ] );
       ( "ledger",
         [
@@ -577,6 +857,8 @@ let () =
       ( "protocol",
         [
           Alcotest.test_case "line protocol" `Quick test_protocol;
+          Alcotest.test_case "budget refusal shows delta" `Quick
+            test_protocol_delta_refusal;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

@@ -56,7 +56,21 @@ let test_histo_basics () =
     "p100 within a factor of 2 of the true max" true
     (q >= 65536. && q <= 200_000.);
   Histo.reset h;
-  Alcotest.(check int) "reset clears" 0 (Histo.count h)
+  Alcotest.(check int) "reset clears" 0 (Histo.count h);
+  (* the bucket edges themselves, over the whole int range *)
+  let bucket v =
+    let h = Histo.create () in
+    Histo.record h v;
+    let b = ref (-1) in
+    Array.iteri (fun i c -> if c > 0 then b := i) (Histo.buckets h);
+    !b
+  in
+  for b = 1 to 61 do
+    Alcotest.(check int) (Printf.sprintf "2^%d starts bucket %d" b b) b (bucket (1 lsl b));
+    Alcotest.(check int) (Printf.sprintf "2^%d - 1 ends bucket %d" b (b - 1)) (b - 1)
+      (bucket ((1 lsl b) - 1))
+  done;
+  Alcotest.(check int) "max_int in the last occupied bucket" 61 (bucket max_int)
 
 let test_histo_export_roundtrip () =
   let h = Histo.create () in
@@ -194,6 +208,24 @@ let test_span_ring_and_budget () =
   Alcotest.(check int)
     "span keeps exactly the budget" Span.tag_budget
     (List.length last.Span.tags)
+
+(* Spans can take the timestamps a caller already read for its latency
+   histogram; ending a span closes a child an exception left open. *)
+let test_span_supplied_times () =
+  let t = Span.create () in
+  let h = Span.begin_at t ~dataset:"demo" Name.Sp_submit 1_000 in
+  ignore (Span.begin_at t ~dataset:"demo" Name.Sp_plan 1_100);
+  Span.tag t h Name.T_cache_hit 1.;
+  Span.end_at t h ~dur_ns:500;
+  Alcotest.(check int) "abandoned child closed" 0 (Span.current_depth t);
+  match Span.spans t with
+  | [ s ] ->
+      Alcotest.(check string) "only the parent stored" "submit"
+        (Name.span_name s.Span.name);
+      Alcotest.(check (pair int int)) "supplied start and duration" (1_000, 500)
+        (s.Span.start_ns, s.Span.dur_ns);
+      Alcotest.(check int) "one tag" 1 (List.length s.Span.tags)
+  | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)
 
 let test_span_disabled () =
   let t = Span.create ~enabled:false () in
@@ -472,6 +504,7 @@ let () =
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "ring and tag budget" `Quick
             test_span_ring_and_budget;
+          Alcotest.test_case "supplied times" `Quick test_span_supplied_times;
           Alcotest.test_case "disabled tracer" `Quick test_span_disabled;
         ] );
       ( "clock",
