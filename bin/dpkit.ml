@@ -12,7 +12,7 @@
    dpkit certify "sum(income)"        hypothesis-test the claimed (eps, delta)
    dpkit certify ... --via tcp        the same, against a live TCP server
    dpkit certify compare PRE POST     crash-recovery distribution comparison
-   dpkit lint [DIR]                   privacy-invariant source linter (R1..R9) *)
+   dpkit lint [DIR]                   privacy-invariant linter (R1, R3-R7) *)
 
 open Cmdliner
 
@@ -253,12 +253,23 @@ let serve_cmd =
        coordinator that owns the listener and arbitrates the global \
        budget with fenced ε-leases (requires --tcp and --journal; \
        shard k journals to FILE.shard<k>, lease grants to \
-       FILE.grants). $(docv)=1 is the plain single-process server."
+       FILE.grants). The TCP limits apply per worker. $(docv)=1 is \
+       the plain single-process server."
     in
     Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let run seed journal faults_spec metrics_path tcp max_conns max_inflight
       idle_timeout request_deadline workers =
+    let net port =
+      {
+        Dp_net.Server.default_config with
+        port;
+        max_conns;
+        max_inflight;
+        idle_timeout_s = idle_timeout;
+        reply_deadline_s = request_deadline;
+      }
+    in
     let faults_r =
       match faults_spec with
       | None -> Ok (Dp_engine.Faults.of_env ())
@@ -285,6 +296,7 @@ let serve_cmd =
               {
                 (Dp_pool.Pool.default_config ~workers ~port ~journal) with
                 Dp_pool.Pool.seed;
+                net = net port;
                 metrics = metrics_path;
                 faults;
               }
@@ -344,17 +356,7 @@ let serve_cmd =
                   exit 70
             in
             let serve_tcp port =
-              let config =
-                {
-                  Dp_net.Server.default_config with
-                  port;
-                  max_conns;
-                  max_inflight;
-                  idle_timeout_s = idle_timeout;
-                  reply_deadline_s = request_deadline;
-                }
-              in
-              match Dp_net.Server.create ~config eng with
+              match Dp_net.Server.create ~config:(net port) eng with
               | Error msg -> `Error (false, "cannot listen: " ^ msg)
               | Ok srv -> (
                   (* a flag flip is all a handler may do; the select
@@ -551,11 +553,9 @@ let lint_cmd =
   in
   let flow_arg =
     let doc =
-      "Delegate R2, R8 and R9 to the interprocedural flow analyzer: \
-       their token findings are replaced by F2/F3 findings over the \
-       same tree (see $(b,dpkit flow)), minus anything accepted in \
-       DIR/flow.baseline. The remaining rules still run as token \
-       checks."
+      "Also run the interprocedural flow analyzer's charge-before-release \
+       (F2) and RNG-provenance (F3) checks over the same tree (see \
+       $(b,dpkit flow)), minus anything accepted in DIR/flow.baseline."
     in
     Arg.(value & flag & info [ "flow" ] ~doc)
   in
@@ -578,16 +578,9 @@ let lint_cmd =
           let findings =
             if not flow then lexical
             else
-              let delegated = [ "R2"; "R8"; "R9" ] in
-              let kept =
-                List.filter
-                  (fun (f : Dp_lint.Report.finding) ->
-                    not (List.mem f.Dp_lint.Report.rule delegated))
-                  lexical
-              in
-              (* the delegation inherits flow's whole suppression
-                 stack: inline allows and --exempt via analyze, plus
-                 the tree's accepted-findings baseline when present *)
+              (* flow's whole suppression stack applies: inline allows
+                 and --exempt via analyze, plus the tree's
+                 accepted-findings baseline when present *)
               let baseline =
                 Dp_flow.Baseline.load (Filename.concat dir "flow.baseline")
               in
@@ -600,9 +593,8 @@ let lint_cmd =
                        .Dp_flow.Flow.findings)
                 |> List.map (rebase_flow_finding ~dir)
               in
-              Dp_lint.Report.dedup
-                (List.sort Dp_lint.Report.compare_findings
-                   (kept @ flow_findings))
+              List.sort Dp_lint.Report.compare_findings
+                (lexical @ flow_findings)
           in
           let pp =
             match format with
@@ -621,7 +613,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:
          "Check the source tree against the privacy-invariant rules \
-          (R1..R9); exit 1 on any finding.")
+          (R1, R3-R7); exit 1 on any finding.")
     Term.(
       ret
         (const run $ dir_arg $ format_arg $ exempt_arg $ rules_arg $ flow_arg))

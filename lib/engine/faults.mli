@@ -22,12 +22,12 @@
     v}
     Points: [journal-write], [journal-fsync], [rng],
     [crash-after-charge], [garbage-line], the network frontend's
-    [accept-fail], [read-stall], [write-drop], [conn-reset], and the
-    worker pool's [lease-expiry], [grant-drop], [worker-crash]. The
-    network and pool points are not in the all-transient set: the
-    recovering party for them is the remote client or the pool
-    supervisor, not an in-process retry loop, so they are armed
-    explicitly (see {!is_transient}). *)
+    [accept-fail], [read-stall], [write-drop], [conn-reset] (all but
+    [accept-fail] fire in pool workers too), and the worker pool's
+    [lease-expiry], [grant-drop], [worker-crash]. The network and pool
+    points are not in the all-transient set: the recovering party is the
+    remote client or the pool supervisor, not an in-process retry loop,
+    so they are armed explicitly (see {!is_transient}). *)
 
 type point =
   | Journal_write  (** transient: the journal append write fails *)

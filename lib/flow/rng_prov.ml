@@ -15,6 +15,10 @@
 
 let domain_of_def (d : Graph.def) = Spec.domain_of_segs d.Graph.file.segs
 
+let caller_domain (d : Graph.def) =
+  if List.mem (d.modname, d.name) Spec.composition_roots then None
+  else domain_of_def d
+
 let target_domain (r : Graph.resolved) =
   if List.mem (fst (Graph.key r)) Spec.neutral_modules then None
   else
@@ -54,11 +58,11 @@ let crossing_findings graph out =
       declassifies = (fun key -> List.mem key Spec.declassifiers);
       on_call =
         (fun ~caller r loc args ->
-          match (domain_of_def caller, target_domain r) with
+          match (caller_domain caller, target_domain r) with
           | None, _ | _, None ->
               (* a caller outside every domain is a composition root —
-                 bin/, bench/, tests — and stitching subsystems
-                 together is exactly its job *)
+                 bin/, bench/, tests, or a declared process entry point
+                 — and stitching subsystems together is exactly its job *)
               ()
           | Some _, Some tdom ->
               List.iter

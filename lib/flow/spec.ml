@@ -211,6 +211,10 @@ let domain_of_module m =
    infrastructure: passing a stream to them is not a crossing *)
 let neutral_modules = [ "Faults" ]
 
+(* process entry points inside a domain: a forked pool worker wires its
+   engine into its Server exactly as bin/ does for one process *)
+let composition_roots = [ ("Pool", "worker_main") ]
+
 (* Prng.copy is the raw-state escape hatch: flagged in any
    domain-owning subsystem (engine/train, net, certify); the rng
    library itself and neutral code may use it *)

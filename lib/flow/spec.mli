@@ -84,3 +84,7 @@ val domain_of_module : string -> string option
 val neutral_modules : string list
 (** Modules inside a domain's directory that are shared
     infrastructure: passing a stream to them is not a crossing. *)
+
+val composition_roots : (string * string) list
+(** Process entry points inside a domain, as [(module, function)]: like
+    code outside every domain, they may wire streams across subsystems. *)

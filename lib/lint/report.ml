@@ -26,8 +26,7 @@ let compare_findings a b =
       | c -> c)
   | c -> c
 
-(* Overlapping rules can fire on the same token (two clauses of one
-   rule, or a token rule and its flow successor run side by side);
+(* Overlapping clauses of one rule can fire on the same token;
    identical (rule, site) findings collapse to the first. *)
 let dedup findings =
   let seen = Hashtbl.create 64 in

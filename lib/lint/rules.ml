@@ -1,7 +1,9 @@
 (* The privacy invariants of this codebase, as lexical rules. Each rule
-   is deliberately scoped by path segment: an invariant like
-   "charge before release" is meaningless outside the serving engine,
-   and keeping scopes tight keeps false positives near zero. *)
+   is deliberately scoped by path segment: an invariant like "no
+   catch-all handlers" is meaningless outside the serving engine, and
+   keeping scopes tight keeps false positives near zero. Invariants
+   that need dataflow — charge before release, gate before release,
+   RNG provenance — are the flow analyzer's F2/F3 (lib/flow). *)
 
 type ctx = {
   file : string;  (** path as reported, '/'-separated *)
@@ -14,10 +16,6 @@ let all =
     ( "R1",
       "no Stdlib.Random outside lib/rng — all noise must flow through the \
        seeded, splittable Dp_rng.Prng" );
-    ( "R2",
-      "charge before release: in lib/engine, a plan's run closure may only \
-       be invoked after a ledger spend / journal append in the same \
-       top-level definition" );
     ( "R3",
       "every lib/**/*.ml has a matching .mli — invariants live in \
        interfaces, and an unconstrained module leaks internals" );
@@ -36,15 +34,6 @@ let all =
        in lib/engine, lib/mechanism and lib/net, never build a label string \
        at a metrics/span call site (a query argument in a metric name is a \
        side channel)" );
-    ( "R8",
-      "gate before release: in lib/train, a Released model may only be \
-       constructed after a Gates.check / Gates.deterministic verdict in the \
-       same top-level definition (an ungated sample is a biased release)" );
-    ( "R9",
-      "the certifier owns its randomness: in lib/certify, never Prng.copy a \
-       generator or reach into an engine's rng field — split fresh streams \
-       from the harness's own seed (an audit that shares the privacy noise \
-       stream it is testing certifies nothing)" );
   ]
 
 let has_seg ctx s = List.mem s ctx.segs
@@ -81,41 +70,6 @@ let r1 ctx =
               :: !out)
       ctx.tokens;
     List.rev !out
-
-(* R2 ------------------------------------------------------------- *)
-
-(* Top-level chunks: a new column-0 structure keyword starts a new
-   dominance scope, so a spend in one function cannot excuse a release
-   in the next. *)
-let chunk_starts =
-  [ "let"; "and"; "module"; "type"; "exception"; "open"; "include"; "val" ]
-
-let dominators = [ "spend"; "append"; "journal_append"; "replay_charge" ]
-
-let r2 ctx =
-  if not (has_seg ctx "engine" && is_ml ctx) then []
-  else begin
-    let out = ref [] in
-    let dominated = ref false in
-    Array.iteri
-      (fun i (t : Lexer.token) ->
-        if t.Lexer.col = 0 && List.mem t.text chunk_starts then
-          dominated := false;
-        if List.mem t.text dominators then dominated := true;
-        if
-          t.text = "run"
-          && tok ctx (i - 1) = "."
-          && (not (List.mem (tok ctx (i + 1)) [ "="; ":"; ";" ]))
-          && not !dominated
-        then
-          out :=
-            finding ctx "R2" i
-              "release before charge: .run invoked with no preceding ledger \
-               spend / journal append in this definition"
-            :: !out)
-      ctx.tokens;
-    List.rev !out
-  end
 
 (* R3 ------------------------------------------------------------- *)
 
@@ -321,70 +275,4 @@ let r7 ctx =
     List.rev !out
   end
 
-(* R8 ------------------------------------------------------------- *)
-
-(* The training twin of R2: where R2 guards the charge, R8 guards the
-   gate. A `Released { ... }` construction is the moment a posterior
-   draw leaves the sampler, so it must be dominated — in the same
-   column-0 chunk — by a convergence verdict (`Gates.check` for MCMC,
-   `Gates.deterministic` for closed-form backends). The type
-   declaration `Released of { ... }` is not a construction: its next
-   token is `of`, never `{`. *)
-
-let r8_dominators = [ "check"; "deterministic" ]
-
-let r8 ctx =
-  if not (has_seg ctx "train" && is_ml ctx) then []
-  else begin
-    let out = ref [] in
-    let dominated = ref false in
-    Array.iteri
-      (fun i (t : Lexer.token) ->
-        if t.Lexer.col = 0 && List.mem t.text chunk_starts then
-          dominated := false;
-        if List.mem t.text r8_dominators then dominated := true;
-        if t.text = "Released" && tok ctx (i + 1) = "{" && not !dominated then
-          out :=
-            finding ctx "R8" i
-              "release before gate: Released constructed with no preceding \
-               Gates.check / Gates.deterministic verdict in this definition"
-            :: !out)
-      ctx.tokens;
-    List.rev !out
-  end
-
-(* R9 ------------------------------------------------------------- *)
-
-(* The certification harness hypothesis-tests the engine's noise, so it
-   must be statistically independent of it. [Prng.copy] duplicates a
-   stream — the one way to alias the engine's privacy generator — and a
-   [.rng] field access reaches into an engine record for its stream.
-   Either one correlates the audit's draws with the noise under test;
-   the harness may only [Prng.create] from its own seed and
-   [Prng.split] children off that. *)
-
-let r9 ctx =
-  if not (has_seg ctx "certify" && is_ml ctx) then []
-  else begin
-    let out = ref [] in
-    Array.iteri
-      (fun i (t : Lexer.token) ->
-        if t.text = "copy" && tok ctx (i - 1) = "." && tok ctx (i - 2) = "Prng"
-        then
-          out :=
-            finding ctx "R9" i
-              "Prng.copy aliases a noise stream; the certifier must split \
-               fresh streams from its own seed, never duplicate one"
-            :: !out;
-        if t.text = "rng" && tok ctx (i - 1) = "." then
-          out :=
-            finding ctx "R9" i
-              "certifier reads an engine's rng field; drawing on the \
-               privacy stream under test voids the audit"
-            :: !out)
-      ctx.tokens;
-    List.rev !out
-  end
-
-let run ctx =
-  List.concat [ r1 ctx; r2 ctx; r4 ctx; r5 ctx; r6 ctx; r7 ctx; r8 ctx; r9 ctx ]
+let run ctx = List.concat [ r1 ctx; r4 ctx; r5 ctx; r6 ctx; r7 ctx ]

@@ -47,17 +47,27 @@ type conn = {
 type t = {
   eng : Engine.t;
   cfg : config;
-  listener : Unix.file_descr;
+  mutable listener : Unix.file_descr option;  (** None: detached or draining *)
   port : int;
   scope : Dp_obs.Metrics.scope;
   faults : Faults.t;
   mutable conns : conn list;
   mutable stopping : bool;
-  mutable listener_open : bool;
-  mutable drained : bool;
 }
 
 let now_s () = float_of_int (Dp_obs.Clock.now_ns ()) /. 1e9
+
+let detached ?(config = default_config) eng =
+  {
+    eng;
+    cfg = config;
+    listener = None;
+    port = 0;
+    scope = Dp_obs.Metrics.global (Engine.metrics eng);
+    faults = Engine.faults eng;
+    conns = [];
+    stopping = false;
+  }
 
 let create ?(config = default_config) eng =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -70,20 +80,7 @@ let create ?(config = default_config) eng =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> config.port)
   with
-  | port ->
-      Ok
-        {
-          eng;
-          cfg = config;
-          listener = fd;
-          port;
-          scope = Dp_obs.Metrics.global (Engine.metrics eng);
-          faults = Engine.faults eng;
-          conns = [];
-          stopping = false;
-          listener_open = true;
-          drained = false;
-        }
+  | port -> Ok { (detached ~config eng) with listener = Some fd; port }
   | exception Unix.Unix_error (e, fn, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
@@ -91,7 +88,6 @@ let create ?(config = default_config) eng =
 let port t = t.port
 let conn_count t = List.length t.conns
 let request_stop t = t.stopping <- true
-let draining t = t.stopping
 
 let has_output c = c.out_pos < Bytes.length c.out
 
@@ -158,34 +154,33 @@ let mk_conn fd =
     replied = false;
   }
 
-let accept_phase t =
-  if Faults.fire t.faults Faults.Accept_fail then
-    (* the connection stays in the kernel backlog for a later turn *)
-    ()
-  else
-    match Unix.accept t.listener with
+(* Admission for every connection, accepted or adopted: past
+   [max_conns] it is shed, but with a typed reply — the client learns it
+   was load, not its request, and when to come back. *)
+let adopt t fd =
+  Unix.set_nonblock fd;
+  let c = mk_conn fd in
+  if List.length t.conns >= t.cfg.max_conns then begin
+    Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
+    c.eof <- true;
+    c.close_after_flush <- true;
+    c.deadline <- now_s () +. t.cfg.reply_deadline_s;
+    queue_frame c [ overloaded_line t ]
+  end
+  else Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
+  t.conns <- c :: t.conns
+
+(* an injected accept-fail leaves the connection in the kernel backlog
+   for a later turn *)
+let accept_phase t listener =
+  if not (Faults.fire t.faults Faults.Accept_fail) then
+    match Unix.accept listener with
+    | fd, _ -> adopt t fd
     | exception
         Unix.Unix_error
           ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR), _, _)
       ->
         ()
-    | fd, _ ->
-        Unix.set_nonblock fd;
-        if List.length t.conns >= t.cfg.max_conns then begin
-          (* shed at the door, but with a typed reply: the client learns
-             it was load, not its request, and when to come back *)
-          Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
-          let c = mk_conn fd in
-          c.eof <- true;
-          c.close_after_flush <- true;
-          c.deadline <- now_s () +. t.cfg.reply_deadline_s;
-          queue_frame c [ overloaded_line t ];
-          t.conns <- c :: t.conns
-        end
-        else begin
-          Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
-          t.conns <- mk_conn fd :: t.conns
-        end
 
 (* Append floods shed at a lower watermark than everything else: each
    append costs a journal fsync, so a firehose of them would occupy the
@@ -238,7 +233,7 @@ let read_phase t c =
 (* Execute at most one queued request per conn per loop turn (round-
    robin fairness), and only once the previous reply frame is fully
    flushed — the reply order on a connection is the request order. *)
-let exec_phase t c =
+let exec_phase t exec c =
   if c.closed || has_output c || Queue.is_empty c.requests then ()
   else begin
     let l = Queue.pop c.requests in
@@ -253,7 +248,7 @@ let exec_phase t c =
     let reply =
       if bytes > Protocol.max_line_bytes then
         [ Protocol.oversized_reply bytes ]
-      else Protocol.exec t.eng text
+      else exec text
     in
     if Protocol.is_quit text then c.close_after_flush <- true;
     if Faults.fire t.faults Faults.Write_drop then
@@ -329,21 +324,26 @@ let next_wakeup t =
       Float.min acc (Float.max 0.01 (e -. now)))
     1.0 t.conns
 
-let run t =
+let close_listener t =
+  Option.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) t.listener;
+  t.listener <- None
+
+let publish_gauges t =
+  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_conns_open
+    (float_of_int (List.length t.conns));
+  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_inflight
+    (float_of_int (depth t))
+
+let run ?exec ?control t =
+  let exec = Option.value exec ~default:(Protocol.exec t.eng) in
   let rec loop () =
-    if t.stopping && t.listener_open then begin
-      (* graceful drain: stop accepting and stop reading; finish what
-         is already in the pipeline, flush it, then leave *)
-      Unix.close t.listener;
-      t.listener_open <- false
-    end;
+    (* graceful drain: stop accepting and stop reading; finish what is
+       already in the pipeline, flush it, then leave *)
+    if t.stopping then close_listener t;
     (* published every turn, including the one that completes the
        drain, so the final metrics snapshot reads 0 *)
-    Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_conns_open
-      (float_of_int (List.length t.conns));
-    Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_inflight
-      (float_of_int (depth t));
-    if t.stopping && t.conns = [] then t.drained <- true
+    publish_gauges t;
+    if t.stopping && t.conns = [] then ()
     else begin
       timeout_phase t;
       if t.stopping then
@@ -356,10 +356,11 @@ let run t =
               && c.req_start_ns = 0
             then close_conn t `Drain c)
           t.conns;
-      if t.stopping && t.conns = [] then t.drained <- true
+      if t.stopping && t.conns = [] then ()
       else begin
         let reads =
-          (if t.listener_open && not t.stopping then [ t.listener ] else [])
+          Option.to_list t.listener
+          @ (match control with Some (fd, _) -> [ fd ] | None -> [])
           @ List.filter_map
               (fun c ->
                 if c.closed || c.eof || t.stopping then None else Some c.fd)
@@ -370,16 +371,20 @@ let run t =
             (fun c -> if (not c.closed) && has_output c then Some c.fd else None)
             t.conns
         in
-        let timeout = if t.stopping then 0.02 else next_wakeup t in
+        let timeout =
+          if t.stopping then 0.02
+          else Float.min (next_wakeup t) (if control = None then 1.0 else 0.25)
+        in
         let r, _, _ =
           try Unix.select reads writes [] timeout
           with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
         in
-        if t.listener_open && List.mem t.listener r then accept_phase t;
+        Option.iter (fun l -> if List.mem l r then accept_phase t l) t.listener;
+        Option.iter (fun (fd, service) -> service (List.mem fd r)) control;
         List.iter
           (fun c -> if List.mem c.fd r then read_phase t c)
           t.conns;
-        List.iter (fun c -> exec_phase t c) t.conns;
+        List.iter (fun c -> exec_phase t exec c) t.conns;
         (* opportunistic: try every pending reply, not just the fds
            select confirmed — EAGAIN is handled, and replies queued this
            turn would otherwise wait a full loop *)
@@ -392,11 +397,4 @@ let run t =
   (* the drain may have closed the last connections mid-turn, after
      this turn's gauge publication — re-publish so the final metrics
      snapshot reflects the drained state *)
-  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_conns_open
-    (float_of_int (List.length t.conns));
-  Dp_obs.Metrics.set_gauge t.scope Dp_obs.Name.Net_inflight
-    (float_of_int (depth t));
-  if t.listener_open then begin
-    Unix.close t.listener;
-    t.listener_open <- false
-  end
+  publish_gauges t

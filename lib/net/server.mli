@@ -58,18 +58,32 @@ val create : ?config:config -> Dp_engine.Engine.t -> (t, string) result
 (** Bind and listen on loopback. The engine's fault plan and metric
     registry are picked up from the engine itself. *)
 
+val detached : ?config:config -> Dp_engine.Engine.t -> t
+(** A server without a listener (port 0): it serves what {!adopt}
+    hands it. *)
+
+val adopt : t -> Unix.file_descr -> unit
+(** Serve an already-accepted connection under the same [max_conns]
+    admission as an accepted one. Safe to call from [run]'s callbacks. *)
+
 val port : t -> int
 (** The bound port (resolved when [config.port = 0]). *)
 
-val run : t -> unit
+val run :
+  ?exec:(string -> string list) ->
+  ?control:Unix.file_descr * (bool -> unit) ->
+  t -> unit
 (** Serve until {!request_stop} and the subsequent drain complete.
-    Only an injected {!Dp_engine.Faults.Crash} escapes — everything
-    else is a typed reply line to the client. *)
+    [exec] answers a request line (default {!Dp_engine.Protocol.exec}).
+    With [control = (fd, service)], [service readable] runs between
+    requests once per loop turn, turns at most 0.25 s apart, with
+    [readable] true when [fd] is. Only an injected
+    {!Dp_engine.Faults.Crash} escapes — everything else is a typed
+    reply line to the client. *)
 
 val request_stop : t -> unit
 (** Begin graceful drain; safe to call from a signal handler (it only
     sets a flag — the select loop notices on its next turn, including
     via [EINTR]). *)
 
-val draining : t -> bool
 val conn_count : t -> int

@@ -43,37 +43,6 @@ let effective_sample_size xs =
   let tau = 1. +. (2. *. !acc) in
   Numeric.clamp ~lo:1. ~hi:(float_of_int n) (float_of_int n /. tau)
 
-let gelman_rubin chains =
-  let m = Array.length chains in
-  if m < 2 then invalid_arg "Diagnostics.gelman_rubin: need >= 2 chains";
-  let n = Array.length chains.(0) in
-  if n < 4 then invalid_arg "Diagnostics.gelman_rubin: chains too short";
-  Array.iter
-    (fun c ->
-      if Array.length c <> n then
-        invalid_arg "Diagnostics.gelman_rubin: unequal chain lengths")
-    chains;
-  let nf = float_of_int n and mf = float_of_int m in
-  let means = Array.map Summation.mean chains in
-  let grand = Summation.mean means in
-  let b =
-    nf /. (mf -. 1.)
-    *. Summation.sum_map (fun mu -> Numeric.sq (mu -. grand)) means
-  in
-  let w =
-    Summation.mean
-      (Array.map
-         (fun c ->
-           let mu = Summation.mean c in
-           Summation.sum_map (fun x -> Numeric.sq (x -. mu)) c /. (nf -. 1.))
-         chains)
-  in
-  if w = 0. then 1.
-  else begin
-    let var_plus = ((nf -. 1.) /. nf *. w) +. (b /. nf) in
-    sqrt (var_plus /. w)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Rank-normalized split statistics (Vehtari et al. 2021) *)
 

@@ -48,15 +48,6 @@ val ess_rank_normalized : float array array -> float
     @raise Invalid_argument on no chains, unequal lengths, chains
     shorter than 8, or NaN. *)
 
-val gelman_rubin : float array array -> float
-(** Plain potential scale reduction factor over ≥ 2 chains of equal
-    length — no splitting, no rank normalization.
-    @deprecated Retained as a reference point for the regression tests
-    pinning old-vs-new behaviour; gate on {!split_rhat}, which detects
-    within-chain trends and frozen chains this statistic misses.
-    @raise Invalid_argument on fewer than 2 chains, unequal lengths,
-    or chains shorter than 4. *)
-
 type summary = { ess : float; mean : float; rhat : float }
 (** [rhat] is {!split_rhat} of the single chain (its two halves act as
     the ≥ 2 chains), so a single-call user can gate on it directly. *)

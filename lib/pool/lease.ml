@@ -44,7 +44,6 @@ let outstanding t = Array.fold_left (fun a s -> a +. s.leased) 0. t.shards
 let reclaimed_spent t = Array.fold_left (fun a s -> a +. s.reclaimed) 0. t.shards
 let unleased t = Float.max 0. (t.total -. outstanding t -. reclaimed_spent t)
 let invariant_ok t = reclaimed_spent t +. outstanding t <= t.total +. slack
-let current_token t ~shard = t.shards.(shard).token
 let leased t ~shard = t.shards.(shard).leased
 
 let expired t ~now =

@@ -43,9 +43,6 @@ val unleased : t -> float
 val invariant_ok : t -> bool
 (** [reclaimed_spent + outstanding ≤ budget] (within 1e-9 slack). *)
 
-val current_token : t -> shard:int -> int
-(** The live incarnation's fencing token; [-1] before the first. *)
-
 val leased : t -> shard:int -> float
 
 val expired : t -> now:float -> int list

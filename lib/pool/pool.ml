@@ -15,7 +15,7 @@
 open Dp_engine
 module P = Dp_mechanism.Privacy
 module Fd_passing = Dp_net.Fd_passing
-module Linebuf = Dp_net.Linebuf
+module Server = Dp_net.Server
 module Metrics = Dp_obs.Metrics
 module Export = Dp_obs.Export
 module Name = Dp_obs.Name
@@ -25,7 +25,7 @@ let slack = 1e-9
 type config = {
   seed : int;
   workers : int;
-  port : int;
+  net : Server.config;  (** listener port; each worker's connection limits *)
   journal : string;  (** base path; shard k appends to [.shard<k>] *)
   metrics : string option;
   faults : Faults.t;
@@ -38,7 +38,7 @@ let default_config ~workers ~port ~journal =
   {
     seed = 20120330;
     workers;
-    port;
+    net = { Server.default_config with port };
     journal;
     metrics = None;
     faults = Faults.none;
@@ -75,7 +75,7 @@ let try_lock path =
                (Unix.error_message e)))
 
 (* Orphans of a killed coordinator notice the reparenting within one
-   select round (~0.25 s) and exit; waiting a bounded moment for their
+   control turn (~0.25 s) and exit; waiting a bounded moment for their
    locks makes restart-after-kill work without external sequencing. *)
 let acquire_lock ?(wait_s = 0.) path =
   let deadline = Unix.gettimeofday () +. wait_s in
@@ -286,9 +286,8 @@ let merge_lines ?(seed = 20120330) ~journal ~workers () =
 
 (* ------------------------------------------------------------------ *)
 (* Worker: full engine over its shard journal, serving passed
-   connections, charging only through the lease gate. *)
-
-type conn = { fd : Unix.file_descr; buf : Linebuf.t; mutable closed : bool }
+   connections through Dp_net.Server, charging only through the lease
+   gate. *)
 
 type wlease = {
   mutable wleased : float;  (** cumulative allowance (coordinator's word) *)
@@ -299,6 +298,7 @@ type wlease = {
 type worker = {
   wcfg : config;
   eng : Engine.t;
+  srv : Server.t;
   ctrl : Unix.file_descr;
   coord_pid : int;
       (** datagram socketpairs never raise EOF on peer death, so the
@@ -306,9 +306,7 @@ type worker = {
   shard : int;
   token : int;
   wleases : (string, wlease) Hashtbl.t;
-  mutable conns : conn list;
   mutable doregs : string list;  (** queued broadcasts, applied between requests *)
-  mutable draining : bool;
   mutable lost : bool;  (** fencing token superseded: refuse fresh charges *)
   mutable coord_gone : bool;
 }
@@ -321,28 +319,19 @@ let wlease w ds =
       Hashtbl.add w.wleases ds l;
       l
 
-let close_conn c =
-  if not c.closed then begin
-    c.closed <- true;
-    try Unix.close c.fd with Unix.Unix_error _ -> ()
-  end
-
 (* Apply a control message that can arrive at any time — including in
    the middle of a lease RPC wait. Returns the raw message for the
    waiter to also interpret. *)
 let absorb_ctrl w ({ msg; fd } : Fd_passing.received) =
-  (match fd with
-  | Some cfd -> (
-      match split_ws msg with
-      | "conn" :: _ ->
-          w.conns <-
-            { fd = cfd; buf = Linebuf.create (); closed = false } :: w.conns
-      | _ -> ( try Unix.close cfd with Unix.Unix_error _ -> ()))
-  | None -> ());
-  (match split_ws msg with
+  let toks = split_ws msg in
+  (match (fd, toks) with
+  | Some cfd, "conn" :: _ -> Server.adopt w.srv cfd
+  | Some cfd, _ -> ( try Unix.close cfd with Unix.Unix_error _ -> ())
+  | None, _ -> ());
+  (match toks with
   | "doreg" :: rest -> w.doregs <- String.concat " " rest :: w.doregs
   | "lost" :: _ -> w.lost <- true
-  | [ "drain" ] -> w.draining <- true
+  | [ "drain" ] -> Server.request_stop w.srv
   | "grant" :: toks -> (
       (* absolute state: safe to apply whenever it lands, even as a
          stray reply to a timed-out request *)
@@ -436,24 +425,6 @@ let apply_doregs w =
   w.doregs <- [];
   List.iter (fun line -> ignore (Protocol.exec w.eng line)) pending
 
-let write_frame c lines =
-  let b = Buffer.create 256 in
-  List.iter
-    (fun l ->
-      Buffer.add_string b l;
-      Buffer.add_char b '\n')
-    lines;
-  Buffer.add_char b '\n';
-  let s = Buffer.contents b in
-  let len = String.length s in
-  try
-    let rec go off =
-      if off < len then
-        go (off + Unix.write_substring c.fd s off (len - off))
-    in
-    go 0
-  with Unix.Unix_error _ -> close_conn c
-
 let do_register w text =
   (* the coordinator re-tokenizes, so match its normalized echo *)
   let norm = String.concat " " (split_ws text) in
@@ -476,76 +447,42 @@ let do_register w text =
     | Some (`Err msg) -> [ msg ]
     | None -> [ "err transient registration timed out (retry)" ]
 
-let serve_line w c (line : Linebuf.line) =
-  if c.closed then ()
-  else if line.Linebuf.bytes > Protocol.max_line_bytes then
-    write_frame c [ Protocol.oversized_reply line.Linebuf.bytes ]
-  else begin
-    let text = line.Linebuf.text in
-    let toks = split_ws text in
-    if toks = [] then ()
-    else begin
-      Faults.check (Engine.faults w.eng) Faults.Worker_crash;
-      let reply =
-        match toks with
-        | "register" :: _ -> do_register w text
-        | _ -> Protocol.exec w.eng text
-      in
-      write_frame c reply;
-      if Protocol.is_quit text then close_conn c
-    end
-  end
-
-let read_conn w c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 4096 with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> close_conn c
-  | 0 -> close_conn c
-  | n -> List.iter (serve_line w c) (Linebuf.feed c.buf buf 0 n)
+(* The line executor Server calls for each request: registrations
+   round-trip through the coordinator, everything else is the plain
+   protocol. *)
+let worker_exec w text =
+  let toks = split_ws text in
+  if toks <> [] then Faults.check (Engine.faults w.eng) Faults.Worker_crash;
+  match toks with
+  | "register" :: _ -> do_register w text
+  | _ -> Protocol.exec w.eng text
 
 let worker_finish w ~code =
-  List.iter close_conn w.conns;
-  (match w.wcfg.metrics with
-  | None -> ()
-  | Some base -> (
-      let path = shard_metrics base w.shard in
-      match open_out path with
-      | oc ->
-          List.iter
-            (fun l ->
-              output_string oc l;
-              output_char oc '\n')
-            (Engine.metrics_lines w.eng);
-          close_out oc
-      | exception Sys_error _ -> ()));
+  Option.iter
+    (fun base ->
+      try
+        Out_channel.with_open_text (shard_metrics base w.shard) (fun oc ->
+            List.iter (Printf.fprintf oc "%s\n") (Engine.metrics_lines w.eng))
+      with Sys_error _ -> ())
+    w.wcfg.metrics;
   Engine.close w.eng;
   exit code
 
-let rec worker_loop w term =
-  if !term then w.draining <- true;
+(* One control turn, run by Server between requests at most 0.25 s
+   apart. A fenced (75) or orphaned (0) worker leaves at once, without
+   draining: the next incarnation and a restarted coordinator wait on
+   its shard lock. Only [drain] and SIGTERM drain. *)
+let worker_tick w term readable =
+  if readable then begin
+    match Fd_passing.recv w.ctrl with
+    | None -> w.coord_gone <- true
+    | Some received -> ignore (absorb_ctrl w received)
+  end;
+  if !term then Server.request_stop w.srv;
   if Unix.getppid () <> w.coord_pid then w.coord_gone <- true;
   apply_doregs w;
-  w.conns <- List.filter (fun c -> not c.closed) w.conns;
   if w.lost then worker_finish w ~code:75
   else if w.coord_gone then worker_finish w ~code:0
-  else if w.draining then worker_finish w ~code:0
-  else begin
-    let fds = w.ctrl :: List.map (fun c -> c.fd) w.conns in
-    (match Unix.select fds [] [] 0.25 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | ready, _, _ ->
-        if List.mem w.ctrl ready then begin
-          match Fd_passing.recv w.ctrl with
-          | None -> w.coord_gone <- true
-          | Some received -> ignore (absorb_ctrl w received)
-        end;
-        List.iter
-          (fun c ->
-            if (not c.closed) && List.mem c.fd ready then read_conn w c)
-          w.conns);
-    worker_loop w term
-  end
 
 let worker_main cfg ~shard ~token ~ctrl =
   let term = ref false in
@@ -569,21 +506,22 @@ let worker_main cfg ~shard ~token ~ctrl =
     {
       wcfg = cfg;
       eng;
+      srv = Server.detached ~config:cfg.net eng;
       ctrl;
       coord_pid = Unix.getppid ();
       shard;
       token;
       wleases = Hashtbl.create 8;
-      conns = [];
       doregs = [];
-      draining = false;
       lost = false;
       coord_gone = false;
     }
   in
   Engine.set_lease_gate eng (Some (fun ~dataset ~face -> gate w ~dataset ~face));
-  match worker_loop w term with
-  | _ -> assert false
+  match
+    Server.run ~exec:(worker_exec w) ~control:(ctrl, worker_tick w term) w.srv
+  with
+  | () -> worker_finish w ~code:0
   | exception Faults.Crash p ->
       Printf.eprintf "dpkit: injected crash at %s\n%!" (Faults.point_name p);
       exit 70
@@ -1192,13 +1130,14 @@ let run_locked cfg ~gen_lock ~stop =
                 in
                 Unix.setsockopt listener Unix.SO_REUSEADDR true;
                 Unix.bind listener
-                  (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.port));
-                Unix.listen listener 64;
+                  (Unix.ADDR_INET
+                     (Unix.inet_addr_loopback, cfg.net.Server.port));
+                Unix.listen listener cfg.net.Server.backlog;
                 coord.listener <- Some listener;
                 let port =
                   match Unix.getsockname listener with
                   | Unix.ADDR_INET (_, p) -> p
-                  | _ -> cfg.port
+                  | _ -> cfg.net.Server.port
                 in
                 for k = 0 to cfg.workers - 1 do
                   ignore (spawn_worker coord k)

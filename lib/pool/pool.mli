@@ -4,9 +4,11 @@
 
     Topology: the coordinator accepts connections and passes each
     descriptor ({!Dp_net.Fd_passing}) to a live worker round-robin.
-    Every worker runs the full {!Dp_engine.Protocol} against its own
-    shard journal [<journal>.shard<k>] and may charge budget only
-    through its lease: before any ledger spend the engine's lease gate
+    Every worker serves them through {!Dp_net.Server} (every defence of
+    [dpkit serve --tcp], per worker), services its control channel from
+    that loop, runs the full {!Dp_engine.Protocol} against its own shard
+    journal [<journal>.shard<k>], and may charge budget only through its
+    lease: before any ledger spend the engine's lease gate
     sends [lease ds=… token=… need=…] to the coordinator, where [need]
     is the worker's {e cumulative} face-ε — absolute values make every
     reply idempotent across dropped acks. The coordinator journals the
@@ -40,7 +42,9 @@
 type config = {
   seed : int;  (** engine seed for every worker (default 20120330) *)
   workers : int;  (** shard count, ≥ 2 (N=1 is plain [dpkit serve]) *)
-  port : int;  (** TCP port for the coordinator's listener *)
+  net : Dp_net.Server.config;
+      (** the coordinator's listener [port] and [backlog]; the other
+          limits apply per worker *)
   journal : string;
       (** base path; shard [k] journals to [.shard<k>], the grant WAL
           to [.grants], merged metrics shards to [<metrics>.shard<k>] *)
@@ -56,8 +60,8 @@ type config = {
 }
 
 val default_config : workers:int -> port:int -> journal:string -> config
-(** seed 20120330, no metrics, no faults, quantum 0.5, ttl 5 s,
-    max_restarts 100. *)
+(** seed 20120330, {!Dp_net.Server.default_config} on [port], no
+    metrics, no faults, quantum 0.5, ttl 5 s, max_restarts 100. *)
 
 val shard_journal : string -> int -> string
 val wal_path : string -> string

@@ -2,15 +2,15 @@
 # dpkit flow must (1) flag every seeded interprocedural violation in
 # flow_corpus/ — findings the token linter provably misses — with a
 # witness path, (2) leave `dpkit lint` silent on that same corpus,
-# (3) under `lint --flow`, replace the lexical R2/R8/R9 corpus
-# findings with F2/F3 ones, (4) honour rule-range exemptions and the
+# (3) under `lint --flow`, report F2/F3 on the lexical corpus files
+# of the retired R2/R8/R9, (4) honour rule-range exemptions and the
 # checked-in baseline, and (5) report nothing fresh on the
 # repository's own sources.
 set -u
 
 DPKIT="$1"
 
-# --- 1. the flow corpus: exactly 8 findings, 2×F1 + 3×F2 + 3×F3 ----
+# --- 1. the flow corpus: exactly 9 findings, 2×F1 + 3×F2 + 4×F3 ----
 out=$("$DPKIT" flow --format json flow_corpus)
 if [ $? -eq 0 ]; then
   echo "FAIL: corpus flow exited 0 (seeded violations not detected)"
@@ -21,14 +21,14 @@ n=$(printf '%s\n' "$out" | grep -c '"rule"')
 f1=$(printf '%s\n' "$out" | grep -c '"rule":"F1"')
 f2=$(printf '%s\n' "$out" | grep -c '"rule":"F2"')
 f3=$(printf '%s\n' "$out" | grep -c '"rule":"F3"')
-if [ "$n" -ne 8 ] || [ "$f1" -ne 2 ] || [ "$f2" -ne 3 ] || [ "$f3" -ne 3 ]; then
-  echo "FAIL: expected 8 corpus findings (2 F1, 3 F2, 3 F3), got $n ($f1/$f2/$f3)"
+if [ "$n" -ne 9 ] || [ "$f1" -ne 2 ] || [ "$f2" -ne 3 ] || [ "$f3" -ne 4 ]; then
+  echo "FAIL: expected 9 corpus findings (2 F1, 3 F2, 4 F3), got $n ($f1/$f2/$f3)"
   printf '%s\n' "$out"
   exit 1
 fi
 
 for f in launder_main synopsis_reply charge_branch fire_helper wrap_helper \
-         smuggle_main seed_engine seed_net; do
+         smuggle_main seed_engine seed_net pool; do
   if ! printf '%s\n' "$out" | grep -q "$f\.ml"; then
     echo "FAIL: no finding reported in $f.ml"
     printf '%s\n' "$out"
@@ -45,7 +45,8 @@ for w in \
   "fire_main.ml:7:22 call to Fire_helper.fire" \
   "release_main.ml:11:2 call to Wrap_helper.wrap" \
   "smuggle_main.ml:10:27 certify-owned stream born" \
-  "seed_net.ml:6:16 seed 0x5EED in net domain"; do
+  "seed_net.ml:6:16 seed 0x5EED in net domain" \
+  "pool.ml:14:41 call to Pool.shard in Pool.respawn"; do
   if ! printf '%s\n' "$text" | grep -q "via .*$w"; then
     echo "FAIL: witness step missing: $w"
     printf '%s\n' "$text"
@@ -119,5 +120,5 @@ case "$real" in
     exit 1 ;;
 esac
 
-echo "flow: 8/8 corpus violations flagged with witnesses, lint blind to all,"
+echo "flow: 9/9 corpus violations flagged with witnesses, lint blind to all,"
 echo "      lint --flow parity holds, range exemptions + baseline honoured"

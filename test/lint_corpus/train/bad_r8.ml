@@ -1,5 +1,5 @@
-(* Seeded violation for R8: a Released model constructed with no
-   convergence verdict in the same definition. Never compiled. *)
+(* Seeded violation for retired R8, now F2: a Released model
+   constructed with no convergence verdict in its definition. *)
 
 type outcome =
   | Released of { theta : float array }

@@ -19,7 +19,8 @@
 #     passes `dpkit stats --check`, and a final invariant-clean replay.
 #
 # POOL_KILL_MODE selects the kill matrix entry: worker | coordinator |
-# both (default both — CI runs all three).
+# both (default both — CI runs all three). POOL_FAULTS, when set, is
+# passed to every pool as `serve --faults` (e.g. conn-reset=6,write-drop=9).
 set -eu
 
 DPKIT="$1"
@@ -69,7 +70,8 @@ PORT=$((24000 + $$ % 3000))
 CPID=""
 for try in 0 1 2 3 4; do
   CAND=$((PORT + try))
-  "$DPKIT" serve --tcp "$CAND" --workers 3 --journal "$J" >"$LOG1" 2>&1 &
+  "$DPKIT" serve --tcp "$CAND" --workers 3 --journal "$J" \
+    ${POOL_FAULTS:+--faults "$POOL_FAULTS"} >"$LOG1" 2>&1 &
   CPID=$!
   sleep 0.3
   if grep -q "listening port=" "$LOG1" 2>/dev/null; then
@@ -171,7 +173,7 @@ if [ "$KILL_MODE" = "coordinator" ] || [ "$KILL_MODE" = "both" ]; then
     cat pool_replay_crash.txt; exit 1; }
 
   "$DPKIT" serve --tcp "$PORT" --workers 3 --journal "$J" --metrics "$M" \
-    >"$LOG2" 2>&1 &
+    ${POOL_FAULTS:+--faults "$POOL_FAULTS"} >"$LOG2" 2>&1 &
   CPID=$!
   wait_listening "$LOG2"
 
