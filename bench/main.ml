@@ -380,12 +380,13 @@ let run_benchmarks json =
   print_phases phases;
   Option.iter (fun file -> write_json file rows phases) json
 
-(* Instrumentation overhead gate (CI). The instrumented path adds a
-   handful of clock reads and two small span allocations per submit;
-   against an O(rows) plan scan that must stay inside 5%. Large rows
-   and min-of-batches medians keep the measurement out of scheduler
-   noise; the whole comparison retries so one noisy trial cannot fail
-   the gate. *)
+(* Instrumentation overhead gate (CI). The instrumented path adds four
+   spans, four histogram records and three tags per submit, none of
+   which allocates; [count] is answered by rank on the column's
+   synopsis, so an uncached submit takes a few microseconds and that
+   work must stay inside 5% of it. Min-of-batches medians keep the
+   measurement out of scheduler noise; the whole comparison retries so
+   one noisy trial cannot fail the gate. *)
 let overhead_gate () =
   let batch = 400 and batches = 7 in
   let run_one obs =

@@ -1204,13 +1204,6 @@ type recovery = {
 
 exception Recovery_failed of string
 
-type replay_counts = {
-  mutable rc_charges : int;
-  mutable rc_cache : int;
-  mutable rc_models : int;
-  mutable rc_streams : int;
-}
-
 (* A [Withheld] marker immediately follows the charge whose answer was
    withheld live (nothing else is journaled in between), so recovered
    stats and audit verdicts match the live run. An unpaired marker —
@@ -1226,7 +1219,7 @@ let rec pair_outcomes = function
   | r :: rest -> (r, None) :: pair_outcomes rest
   | [] -> []
 
-let apply_record t counts (record, withheld) =
+let apply_record t (record, withheld) =
   match record with
   | Journal.Register { name; rows; seed; policy } -> (
       if Registry.find t.registry name <> None then
@@ -1273,8 +1266,7 @@ let apply_record t counts (record, withheld) =
             (log_decision t ?analyst:c.Journal.analyst
                ~mechanism:c.Journal.mechanism ~dataset:c.Journal.dataset
                ~query:c.Journal.query ~requested:c.Journal.face
-               ~charged:c.Journal.marginal ~cache_hit:false ~verdict ());
-          counts.rc_charges <- counts.rc_charges + 1)
+               ~charged:c.Journal.marginal ~cache_hit:false ~verdict ()))
   | Journal.Cache_insert k -> (
       match Hashtbl.find_opt t.servings k.Journal.dataset with
       | None ->
@@ -1288,8 +1280,7 @@ let apply_record t counts (record, withheld) =
               Cache.answer = k.Journal.answer;
               mechanism = k.Journal.mechanism;
               requested = k.Journal.requested;
-            };
-          counts.rc_cache <- counts.rc_cache + 1)
+            })
   | Journal.Withheld _ -> ()
   | Journal.Train m -> (
       match Hashtbl.find_opt t.servings m.Journal.dataset with
@@ -1318,7 +1309,7 @@ let apply_record t counts (record, withheld) =
                 acceptance = m.Journal.acceptance;
               }
           with
-          | () -> counts.rc_models <- counts.rc_models + 1
+          | () -> ()
           | exception Invalid_argument msg -> raise (Recovery_failed msg)))
   | Journal.Stream_open o -> (
       match Hashtbl.find_opt t.servings o.Journal.dataset with
@@ -1351,7 +1342,7 @@ let apply_record t counts (record, withheld) =
                     reads = 0;
                   }
               with
-              | () -> counts.rc_streams <- counts.rc_streams + 1
+              | () -> ()
               | exception Invalid_argument msg ->
                   raise (Recovery_failed msg))))
   | Journal.Stream_append a -> (
@@ -1419,53 +1410,51 @@ let verify_recovered t journal_records =
           <= 1e-9 *. Float.max 1. spent.Privacy.epsilon)
     t.servings true
 
+let recover t records =
+  match List.iter (apply_record t) (pair_outcomes records) with
+  | exception Recovery_failed msg -> Error ("recovery failed: " ^ msg)
+  | () ->
+      if verify_recovered t records then Ok ()
+      else Error "recovered state failed audit replay verification"
+
 let open_journal_inner t path =
-  (
-    match
-      Journal.open_ ~faults:t.faults
-        ~obs:(Dp_obs.Metrics.global t.obs)
-        ~jitter:t.retry_rng path
-    with
-    | Error msg -> Error msg
-    | Ok (j, records, stats) -> (
-        let counts =
-          { rc_charges = 0; rc_cache = 0; rc_models = 0; rc_streams = 0 }
-        in
-        let n_datasets_before = Hashtbl.length t.servings in
-        match List.iter (apply_record t counts) (pair_outcomes records) with
-        | exception Recovery_failed msg ->
-            Journal.close j;
-            Error (Printf.sprintf "journal %s: recovery failed: %s" path msg)
-        | () ->
-            let verified = verify_recovered t records in
-            if not verified then begin
-              Journal.close j;
-              Error
-                (Printf.sprintf
-                   "journal %s: recovered state failed audit replay \
-                    verification"
-                   path)
-            end
-            else begin
-              (* replay consumed no draws: re-key both noise streams so
-                 post-recovery releases (answers and tree nodes alike)
-                 can never repeat pre-crash ones *)
-              t.rng <- Dp_rng.Prng.create (entropy_seed ());
-              t.stream_rng <- Dp_rng.Prng.create (entropy_seed ());
-              t.journal <- Some j;
-              Ok
-                {
-                  journal_path = path;
-                  records = stats.Journal.records;
-                  torn_bytes = stats.Journal.torn_bytes;
-                  datasets = Hashtbl.length t.servings - n_datasets_before;
-                  charges = counts.rc_charges;
-                  cache_entries = counts.rc_cache;
-                  models_recovered = counts.rc_models;
-                  streams_recovered = counts.rc_streams;
-                  verified;
-                }
-            end))
+  match
+    Journal.open_ ~faults:t.faults
+      ~obs:(Dp_obs.Metrics.global t.obs)
+      ~jitter:t.retry_rng path
+  with
+  | Error msg -> Error msg
+  | Ok (j, records, stats) -> (
+      let n_datasets_before = Hashtbl.length t.servings in
+      match recover t records with
+      | Error msg ->
+          Journal.close j;
+          Error (Printf.sprintf "journal %s: %s" path msg)
+      | Ok () ->
+          (* replay consumed no draws: re-key both noise streams so
+             post-recovery releases (answers and tree nodes alike) can
+             never repeat pre-crash ones *)
+          t.rng <- Dp_rng.Prng.create (entropy_seed ());
+          t.stream_rng <- Dp_rng.Prng.create (entropy_seed ());
+          t.journal <- Some j;
+          (* recovery applies every record or fails, so the counts are
+             the records' kinds *)
+          let count p = List.length (List.filter p records) in
+          Ok
+            {
+              journal_path = path;
+              records = stats.Journal.records;
+              torn_bytes = stats.Journal.torn_bytes;
+              datasets = Hashtbl.length t.servings - n_datasets_before;
+              charges = count (function Journal.Charge _ -> true | _ -> false);
+              cache_entries =
+                count (function Journal.Cache_insert _ -> true | _ -> false);
+              models_recovered =
+                count (function Journal.Train _ -> true | _ -> false);
+              streams_recovered =
+                count (function Journal.Stream_open _ -> true | _ -> false);
+              verified = true;
+            })
 
 let[@dp.sanitizer] open_journal t path =
   if t.journal <> None then Error "a journal is already attached"

@@ -304,6 +304,13 @@ val open_journal : t -> string -> (recovery, string) result
     bit-identically (they travel in the journal); only {e fresh} noise
     is deliberately unreproducible across runs. *)
 
+val recover : t -> Journal.record list -> (unit, string) result
+(** The replay and verification half of {!open_journal}: rebuild this
+    engine from [records] ({!Journal.load}) and check it against the
+    replayed audit trace. Touches no file and keeps the seeded noise
+    stream, so it is for inspecting a journal, not for serving from
+    one. *)
+
 val journal_path : t -> string option
 val faults : t -> Faults.t
 

@@ -65,33 +65,11 @@ type record =
 type stats = { records : int; torn_bytes : int }
 
 (* ------------------------------------------------------------------ *)
-(* Payload encoding: ints and hex floats ([%h] round-trips every finite
-   float exactly, which is what makes recovered cache answers
-   bit-identical) terminated by ';', strings length-prefixed. *)
+(* Payload encoding on Frame's field primitives: hex floats round-trip
+   every finite float exactly, which is what makes recovered cache
+   answers bit-identical. *)
 
-let put_int b n =
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_char b ';'
-
-let put_float b x =
-  Buffer.add_string b (Printf.sprintf "%h" x);
-  Buffer.add_char b ';'
-
-let put_bool b v = Buffer.add_char b (if v then '1' else '0')
-
-let put_str b s =
-  put_int b (String.length s);
-  Buffer.add_string b s
-
-let put_opt put b = function
-  | None -> put_bool b false
-  | Some v ->
-      put_bool b true;
-      put b v
-
-let put_farr b a =
-  put_int b (Array.length a);
-  Array.iter (put_float b) a
+open Frame
 
 let put_budget b (x : Privacy.budget) =
   put_float b x.Privacy.epsilon;
@@ -198,53 +176,8 @@ let encode r =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Decoding. Any malformation raises [Corrupt]; the scanner treats the
-   corrupt record and everything after it as a torn tail. *)
-
-exception Corrupt
-
-type cursor = { s : string; mutable pos : int }
-
-let get_char c =
-  if c.pos >= String.length c.s then raise Corrupt;
-  let ch = c.s.[c.pos] in
-  c.pos <- c.pos + 1;
-  ch
-
-let take_until c sep =
-  match String.index_from_opt c.s c.pos sep with
-  | None -> raise Corrupt
-  | Some i ->
-      let tok = String.sub c.s c.pos (i - c.pos) in
-      c.pos <- i + 1;
-      tok
-
-let get_int c =
-  match int_of_string_opt (take_until c ';') with
-  | Some n -> n
-  | None -> raise Corrupt
-
-let get_float c =
-  match float_of_string_opt (take_until c ';') with
-  | Some x -> x
-  | None -> raise Corrupt
-
-let get_bool c =
-  match get_char c with '1' -> true | '0' -> false | _ -> raise Corrupt
-
-let get_str c =
-  let n = get_int c in
-  if n < 0 || c.pos + n > String.length c.s then raise Corrupt;
-  let s = String.sub c.s c.pos n in
-  c.pos <- c.pos + n;
-  s
-
-let get_opt get c = if get_bool c then Some (get c) else None
-
-let get_farr c =
-  let n = get_int c in
-  if n < 0 || n > 1_000_000 then raise Corrupt;
-  Array.init n (fun _ -> get_float c)
+(* Decoding. Any malformation raises [Frame.Corrupt]; the scanner treats
+   the corrupt record and everything after it as a torn tail. *)
 
 let get_budget c =
   let epsilon = get_float c in
@@ -290,217 +223,118 @@ let get_answer c =
   | 'v' -> Planner.Vector (get_farr c)
   | _ -> raise Corrupt
 
-let decode payload =
-  let c = { s = payload; pos = 0 } in
-  let r =
-    match get_char c with
-    | 'R' ->
-        let name = get_str c in
-        let rows = get_int c in
-        let seed = get_int c in
-        let policy = get_policy c in
-        Register { name; rows; seed; policy }
-    | 'C' ->
-        let dataset = get_str c in
-        let analyst = get_opt get_str c in
-        let query = get_str c in
-        let mechanism = get_str c in
-        let face = get_budget c in
-        let marginal = get_budget c in
-        let rho = get_opt get_farr c in
-        Charge { dataset; analyst; query; mechanism; face; marginal; rho }
-    | 'K' ->
-        let dataset = get_str c in
-        let key = get_str c in
-        let mechanism = get_mechanism c in
-        let requested = get_budget c in
-        let answer = get_answer c in
-        Cache_insert { dataset; key; answer; mechanism; requested }
-    | 'W' ->
-        let dataset = get_str c in
-        let reason = get_str c in
-        Withheld { dataset; reason }
-    | 'T' ->
-        let dataset = get_str c in
-        let handle = get_str c in
-        let backend = get_str c in
-        let epsilon = get_float c in
-        let chains = get_int c in
-        let steps = get_int c in
-        let beta = get_float c in
-        let face = get_budget c in
-        let target = get_str c in
-        let n_features = get_int c in
-        if n_features < 0 || n_features > 100_000 then raise Corrupt;
-        let features =
-          Array.init n_features (fun _ ->
-              let name = get_str c in
-              let lo = get_float c in
-              let hi = get_float c in
-              (name, lo, hi))
-        in
-        let theta = get_opt get_farr c in
-        let rhat = get_farr c in
-        let ess = get_farr c in
-        let acceptance = get_float c in
-        Train
-          {
-            dataset;
-            handle;
-            backend;
-            epsilon;
-            chains;
-            steps;
-            beta;
-            face;
-            target;
-            features;
-            theta;
-            rhat;
-            ess;
-            acceptance;
-          }
-    | 'S' ->
-        let dataset = get_str c in
-        let handle = get_str c in
-        let epsilon = get_float c in
-        let horizon = get_int c in
-        let window = get_int c in
-        Stream_open { dataset; handle; epsilon; horizon; window }
-    | 'A' ->
-        let dataset = get_str c in
-        let handle = get_str c in
-        let bit = get_int c in
-        let nodes = get_farr c in
-        Stream_append { dataset; handle; bit; nodes }
-    | _ -> raise Corrupt
-  in
-  if c.pos <> String.length payload then raise Corrupt;
-  r
+let decode c =
+  match get_char c with
+  | 'R' ->
+      let name = get_str c in
+      let rows = get_int c in
+      let seed = get_int c in
+      let policy = get_policy c in
+      Register { name; rows; seed; policy }
+  | 'C' ->
+      let dataset = get_str c in
+      let analyst = get_opt get_str c in
+      let query = get_str c in
+      let mechanism = get_str c in
+      let face = get_budget c in
+      let marginal = get_budget c in
+      let rho = get_opt get_farr c in
+      Charge { dataset; analyst; query; mechanism; face; marginal; rho }
+  | 'K' ->
+      let dataset = get_str c in
+      let key = get_str c in
+      let mechanism = get_mechanism c in
+      let requested = get_budget c in
+      let answer = get_answer c in
+      Cache_insert { dataset; key; answer; mechanism; requested }
+  | 'W' ->
+      let dataset = get_str c in
+      let reason = get_str c in
+      Withheld { dataset; reason }
+  | 'T' ->
+      let dataset = get_str c in
+      let handle = get_str c in
+      let backend = get_str c in
+      let epsilon = get_float c in
+      let chains = get_int c in
+      let steps = get_int c in
+      let beta = get_float c in
+      let face = get_budget c in
+      let target = get_str c in
+      let n_features = get_int c in
+      if n_features < 0 || n_features > 100_000 then raise Corrupt;
+      let features =
+        Array.init n_features (fun _ ->
+            let name = get_str c in
+            let lo = get_float c in
+            let hi = get_float c in
+            (name, lo, hi))
+      in
+      let theta = get_opt get_farr c in
+      let rhat = get_farr c in
+      let ess = get_farr c in
+      let acceptance = get_float c in
+      Train
+        {
+          dataset;
+          handle;
+          backend;
+          epsilon;
+          chains;
+          steps;
+          beta;
+          face;
+          target;
+          features;
+          theta;
+          rhat;
+          ess;
+          acceptance;
+        }
+  | 'S' ->
+      let dataset = get_str c in
+      let handle = get_str c in
+      let epsilon = get_float c in
+      let horizon = get_int c in
+      let window = get_int c in
+      Stream_open { dataset; handle; epsilon; horizon; window }
+  | 'A' ->
+      let dataset = get_str c in
+      let handle = get_str c in
+      let bit = get_int c in
+      let nodes = get_farr c in
+      Stream_append { dataset; handle; bit; nodes }
+  | _ -> raise Corrupt
 
 (* ------------------------------------------------------------------ *)
-(* Framing: length, Adler-32, payload. Both sides truncate the checksum
-   into an Int32, so comparison happens in the Int32 domain. *)
 
-let max_payload = 16 * 1024 * 1024
-
-let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun ch ->
-      a := (!a + Char.code ch) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  Int32.of_int ((!b lsl 16) lor !a)
-
-let frame payload =
-  let hdr = Bytes.create 8 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
-  Bytes.set_int32_be hdr 4 (adler32 payload);
-  Bytes.to_string hdr ^ payload
-
-(* Longest valid frame prefix of [content]: the records it holds and
-   the offset where the first torn/corrupt frame (if any) starts. *)
-let scan content =
-  let size = String.length content in
-  let rec go off acc =
-    if off + 8 > size then (List.rev acc, off)
-    else
-      let len = Int32.to_int (String.get_int32_be content off) in
-      if len < 0 || len > max_payload || off + 8 + len > size then
-        (List.rev acc, off)
-      else
-        let payload = String.sub content (off + 8) len in
-        if String.get_int32_be content (off + 4) <> adler32 payload then
-          (List.rev acc, off)
-        else
-          match decode payload with
-          | r -> go (off + 8 + len) (r :: acc)
-          | exception Corrupt -> (List.rev acc, off)
-  in
-  go 0 []
-
-let read_file path =
-  if not (Sys.file_exists path) then Ok ""
-  else
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error msg -> Error msg
+let stats records torn = { records = List.length records; torn_bytes = torn }
 
 let load path =
-  match read_file path with
+  match Frame.load decode path with
   | Error msg -> Error (Printf.sprintf "journal %s: %s" path msg)
-  | Ok content ->
-      let records, good = scan content in
-      Ok
-        ( records,
-          {
-            records = List.length records;
-            torn_bytes = String.length content - good;
-          } )
-
-(* ------------------------------------------------------------------ *)
+  | Ok (records, torn) -> Ok (records, stats records torn)
 
 type t = {
-  path : string;
-  fd : Unix.file_descr;
+  log : Frame.t;
   faults : Faults.t;
   obs : Dp_obs.Metrics.scope;
   jitter : Dp_rng.Prng.t option;
       (** non-privacy stream for retry-backoff full jitter *)
-  mutable clean_off : int;  (** end of the last fully-appended frame *)
   mutable poisoned : bool;
 }
 
-let path t = t.path
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-(* A freshly-created journal is not durable until its directory entry
-   is: without an fsync of the parent directory, a crash shortly after
-   creation can lose the file itself, and recovery — which treats a
-   missing journal as empty — would silently hand back the full budget.
-   EINVAL means the filesystem does not support fsync on directories;
-   nothing more can be done there. *)
-let fsync_dir path =
-  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try Unix.fsync fd
-      with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
+let path t = Frame.path t.log
+let close t = Frame.close t.log
 
 let open_ ?(faults = Faults.none) ?(obs = Dp_obs.Metrics.null) ?jitter path =
-  match read_file path with
+  match Frame.open_ decode path with
   | Error msg -> Error (Printf.sprintf "journal %s: %s" path msg)
-  | Ok content -> (
-      let records, good = scan content in
-      let torn = String.length content - good in
-      let existed = Sys.file_exists path in
-      try
-        let fd =
-          Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-        in
-        if not existed then fsync_dir path;
-        if torn > 0 then Unix.ftruncate fd good;
-        Ok
-          ( { path; fd; faults; obs; jitter; clean_off = good; poisoned = false },
-            records,
-            { records = List.length records; torn_bytes = torn } )
-      with
-      | Unix.Unix_error (e, fn, _) ->
-          Error
-            (Printf.sprintf "journal %s: %s: %s" path fn (Unix.error_message e))
-      | Sys_error msg -> Error (Printf.sprintf "journal %s: %s" path msg))
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.single_write_substring fd s off (len - off))
-  in
-  go 0
+  | Ok (log, records, torn) ->
+      Ok
+        ( { log; faults; obs; jitter; poisoned = false },
+          records,
+          stats records torn )
 
 let append t record =
   if t.poisoned then Error (`Fatal "journal poisoned by an earlier failure")
@@ -514,16 +348,16 @@ let append t record =
              clean frame boundary before writing again *)
           if attempt > 1 then begin
             Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_retries;
-            Unix.ftruncate t.fd t.clean_off
+            Frame.cut t.log
           end;
           Faults.check t.faults ~attempt Faults.Journal_write;
-          write_all t.fd framed)
+          Frame.write t.log framed)
     in
     match write with
     | Error msg -> (
         (* leave the file at a clean frame boundary; if even that is
            impossible the journal can no longer be trusted *)
-        match Unix.ftruncate t.fd t.clean_off with
+        match Frame.cut t.log with
         | () -> Error (`Transient (Printf.sprintf "journal write failed: %s" msg))
         | exception Unix.Unix_error _ ->
             t.poisoned <- true;
@@ -533,14 +367,14 @@ let append t record =
                    "journal write failed and the file could not be repaired: %s"
                    msg)))
     | Ok () -> (
-        t.clean_off <- t.clean_off + String.length framed;
+        Frame.commit t.log framed;
         let f0 = Dp_obs.Clock.now_ns () in
         let sync =
           Faults.with_retries ?jitter:t.jitter (fun ~attempt ->
               if attempt > 1 then
                 Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_retries;
               Faults.check t.faults ~attempt Faults.Journal_fsync;
-              Unix.fsync t.fd)
+              Frame.fsync t.log)
         in
         Dp_obs.Metrics.observe t.obs Dp_obs.Name.Journal_fsync_ns
           (Dp_obs.Clock.elapsed_ns f0);

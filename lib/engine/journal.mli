@@ -7,8 +7,8 @@
     discipline, specialised to the charge-before-answer ordering:
 
     - every state change (dataset registration, budget charge, cache
-      insert) is appended as one length-prefixed, Adler-32-checksummed
-      record and fsynced {e before} the noisy answer is released;
+      insert) is appended as one checksummed {!Frame} and fsynced
+      {e before} the noisy answer is released;
     - recovery replays the journal into a fresh engine, truncating a
       torn tail record (a crash mid-write) at the last valid frame;
     - because the charge is durable before the answer exists, a crash
@@ -20,14 +20,7 @@
     exactly) and the marginal composed charge (so the rebuilt trace can
     be re-verified through [Dp_audit.Replay]). Cache records carry the
     full noisy answer in hex-float encoding, so recovered cache hits
-    replay bit-identically.
-
-    Wire format, one record:
-    {v
-    4-byte big-endian payload length
-    4-byte big-endian Adler-32 of the payload
-    payload
-    v} *)
+    replay bit-identically. {!Frame} documents the wire format. *)
 
 open Dp_mechanism
 
@@ -144,12 +137,11 @@ val open_ :
     engine passes its global scope. [jitter] (a non-privacy RNG stream,
     see {!Faults.backoff_delay}) adds full jitter to the append/fsync
     retry backoff. Existing records are
-    returned for replay; a torn tail is truncated off the file so the
-    next append starts at a clean frame boundary. Creating the file
-    also fsyncs the parent directory, so a crash right after creation
-    cannot lose the journal's directory entry (a missing journal reads
-    as an empty one — the one way recovery could under-count). [Error]
-    means the file could not be opened or repaired at all. *)
+    returned for replay, with the torn tail truncated and a new file's
+    directory entry fsynced as {!Frame.open_} describes (a missing
+    journal reads as an empty one — the one way recovery could
+    under-count). [Error] means the file could not be opened or
+    repaired at all. *)
 
 val append : t -> record -> (unit, [ `Transient of string | `Fatal of string ]) result
 (** Frame, write, flush and fsync one record, with bounded
@@ -164,5 +156,6 @@ val path : t -> string
 val close : t -> unit
 
 val load : string -> (record list * stats, string) result
-(** Read-only scan (no truncation, no side effects) — what recovery
-    would replay. A missing file is an empty journal. *)
+(** What recovery would replay, read as {!Frame.load} reads: once,
+    without opening the file for writing. A missing file is an empty
+    journal. *)

@@ -1,13 +1,12 @@
-(* The coordinator's grant write-ahead log.
-
-   Same frame discipline as the engine journal — 4-byte big-endian
-   payload length, 4-byte big-endian Adler-32, payload, torn tail
-   truncated on open — because it protects the same invariant from the
-   other side: a lease must be durable before the worker that asked for
-   it learns it may charge. Records are absolute (cumulative leased ε,
-   absolute reclaimed spend), so replaying a prefix of the log after a
-   coordinator crash reconstructs a state the shard journals can only
+(* The coordinator's grant write-ahead log, framed by Dp_engine.Frame
+   like the engine journal, because it protects the same invariant from
+   the other side: a lease must be durable before the worker that asked
+   for it learns it may charge. Records are absolute (cumulative leased
+   ε, absolute reclaimed spend), so replaying a prefix of the log after
+   a coordinator crash reconstructs a state the shard journals can only
    refine, never contradict. *)
+
+module Frame = Dp_engine.Frame
 
 type record =
   | Dataset of { name : string; eps : float; line : string }
@@ -21,23 +20,8 @@ type record =
     }
   | Reclaim of { shard : int; token : int; dataset : string; spent : float }
 
-(* ------------------------------------------------------------------ *)
-(* Payload encoding, shared idiom with Journal: ints and hex floats
-   terminated by ';', strings length-prefixed. *)
-
-let put_int b n =
-  Buffer.add_string b (string_of_int n);
-  Buffer.add_char b ';'
-
-let put_float b x =
-  Buffer.add_string b (Printf.sprintf "%h" x);
-  Buffer.add_char b ';'
-
-let put_str b s =
-  put_int b (String.length s);
-  Buffer.add_string b s
-
 let encode r =
+  let open Frame in
   let b = Buffer.create 64 in
   (match r with
   | Dataset { name; eps; line } ->
@@ -64,168 +48,52 @@ let encode r =
       put_float b spent);
   Buffer.contents b
 
-exception Corrupt
-
-let decode payload =
-  let pos = ref 1 in
-  let upto ch =
-    match String.index_from_opt payload !pos ch with
-    | None -> raise Corrupt
-    | Some i ->
-        let s = String.sub payload !pos (i - !pos) in
-        pos := i + 1;
-        s
-  in
-  let get_int () =
-    match int_of_string_opt (upto ';') with
-    | Some n -> n
-    | None -> raise Corrupt
-  in
-  let get_float () =
-    match float_of_string_opt (upto ';') with
-    | Some x -> x
-    | None -> raise Corrupt
-  in
-  let get_str () =
-    let n = get_int () in
-    if n < 0 || !pos + n > String.length payload then raise Corrupt;
-    let s = String.sub payload !pos n in
-    pos := !pos + n;
-    s
-  in
-  if String.length payload = 0 then raise Corrupt;
-  match payload.[0] with
+let decode c =
+  let open Frame in
+  match get_char c with
   | 'D' ->
-      let name = get_str () in
-      let eps = get_float () in
-      let line = get_str () in
+      let name = get_str c in
+      let eps = get_float c in
+      let line = get_str c in
       Dataset { name; eps; line }
   | 'I' ->
-      let shard = get_int () in
-      let token = get_int () in
+      let shard = get_int c in
+      let token = get_int c in
       Incarnation { shard; token }
   | 'G' ->
-      let shard = get_int () in
-      let token = get_int () in
-      let dataset = get_str () in
-      let leased = get_float () in
-      let deadline = get_float () in
+      let shard = get_int c in
+      let token = get_int c in
+      let dataset = get_str c in
+      let leased = get_float c in
+      let deadline = get_float c in
       Grant { shard; token; dataset; leased; deadline }
   | 'R' ->
-      let shard = get_int () in
-      let token = get_int () in
-      let dataset = get_str () in
-      let spent = get_float () in
+      let shard = get_int c in
+      let token = get_int c in
+      let dataset = get_str c in
+      let spent = get_float c in
       Reclaim { shard; token; dataset; spent }
   | _ -> raise Corrupt
 
 (* ------------------------------------------------------------------ *)
-(* Framing, identical to Journal's wire format. *)
 
-let max_payload = 1024 * 1024
+type t = Frame.t
 
-let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun ch ->
-      a := (!a + Char.code ch) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  Int32.of_int ((!b lsl 16) lor !a)
-
-let frame payload =
-  let hdr = Bytes.create 8 in
-  Bytes.set_int32_be hdr 0 (Int32.of_int (String.length payload));
-  Bytes.set_int32_be hdr 4 (adler32 payload);
-  Bytes.to_string hdr ^ payload
-
-let scan content =
-  let size = String.length content in
-  let rec go off acc =
-    if off + 8 > size then (List.rev acc, off)
-    else
-      let len = Int32.to_int (String.get_int32_be content off) in
-      if len < 0 || len > max_payload || off + 8 + len > size then
-        (List.rev acc, off)
-      else
-        let payload = String.sub content (off + 8) len in
-        if String.get_int32_be content (off + 4) <> adler32 payload then
-          (List.rev acc, off)
-        else
-          match decode payload with
-          | r -> go (off + 8 + len) (r :: acc)
-          | exception Corrupt -> (List.rev acc, off)
-  in
-  go 0 []
-
-let read_file path =
-  if not (Sys.file_exists path) then Ok ""
-  else
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> Ok (really_input_string ic (in_channel_length ic)))
-    with Sys_error msg -> Error msg
-
-let load path =
-  match read_file path with
-  | Error msg -> Error (Printf.sprintf "grant wal %s: %s" path msg)
-  | Ok content ->
-      let records, good = scan content in
-      Ok (records, String.length content - good)
-
-(* ------------------------------------------------------------------ *)
-
-type t = { path : string; fd : Unix.file_descr; mutable clean_off : int }
-
-let path t = t.path
-let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-
-let fsync_dir path =
-  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try Unix.fsync fd with Unix.Unix_error (Unix.EINVAL, _, _) -> ())
-
-let open_ path =
-  match read_file path with
-  | Error msg -> Error (Printf.sprintf "grant wal %s: %s" path msg)
-  | Ok content -> (
-      let records, good = scan content in
-      let torn = String.length content - good in
-      let existed = Sys.file_exists path in
-      try
-        let fd =
-          Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-        in
-        if not existed then fsync_dir path;
-        if torn > 0 then Unix.ftruncate fd good;
-        Ok ({ path; fd; clean_off = good }, records, torn)
-      with
-      | Unix.Unix_error (e, fn, _) ->
-          Error
-            (Printf.sprintf "grant wal %s: %s: %s" path fn
-               (Unix.error_message e))
-      | Sys_error msg -> Error (Printf.sprintf "grant wal %s: %s" path msg))
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then go (off + Unix.single_write_substring fd s off (len - off))
-  in
-  go 0
+let path = Frame.path
+let close = Frame.close
+let named path = Result.map_error (Printf.sprintf "grant wal %s: %s" path)
+let load path = named path (Frame.load decode path)
+let open_ path = named path (Frame.open_ decode path)
 
 let append t record =
-  let framed = frame (encode record) in
+  let framed = Frame.frame (encode record) in
   try
-    write_all t.fd framed;
-    Unix.fsync t.fd;
-    t.clean_off <- t.clean_off + String.length framed;
+    Frame.write t framed;
+    Frame.fsync t;
+    Frame.commit t framed;
     Ok ()
   with Unix.Unix_error (e, fn, _) ->
     (* cut back to the last clean frame so a partial write cannot be
        mistaken for a grant on the next open *)
-    (try Unix.ftruncate t.fd t.clean_off with Unix.Unix_error _ -> ());
+    (try Frame.cut t with Unix.Unix_error _ -> ());
     Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))

@@ -9,9 +9,8 @@
     shard — so replay is idempotent and a re-sent grant after a dropped
     ack changes nothing.
 
-    Wire format is the engine journal's: 4-byte big-endian payload
-    length, 4-byte big-endian Adler-32 of the payload, payload; a torn
-    tail is truncated on open. *)
+    Records are framed like the engine journal's, by
+    {!Dp_engine.Frame}, which documents the wire format. *)
 
 type record =
   | Dataset of { name : string; eps : float; line : string }
@@ -36,12 +35,14 @@ type record =
 type t
 
 val open_ : string -> (t * record list * int, string) result
-(** Open (or create) for appending; returns existing records and the
-    torn-tail byte count truncated off. Creation fsyncs the parent
-    directory, like the engine journal. *)
+(** Open (or create) for appending, as {!Dp_engine.Frame.open_} does;
+    returns existing records and the torn-tail byte count truncated
+    off. *)
 
 val load : string -> (record list * int, string) result
-(** Read-only scan (no truncation); a missing file is an empty log. *)
+(** Records and torn-tail byte count, read as {!Dp_engine.Frame.load}
+    reads: once, without opening the file for writing. A missing file
+    is an empty log. *)
 
 val append : t -> record -> (unit, string) result
 (** Frame, write and fsync one record. On failure the file is cut back

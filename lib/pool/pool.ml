@@ -136,12 +136,65 @@ let send_ctrl fd ?pass msg =
   with Unix.Unix_error _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Crash-merge: replay every shard journal into its own engine (the
-   recovery pipeline refuses duplicate registrations, so shards merge
-   as a deterministic fold of per-shard reports, never as one replay),
-   cross-check against the grant WAL, and render bit-stable lines.
-   Used verbatim by both coordinator startup recovery and the offline
-   [dpkit pool replay] CLI, so the chaos harness can diff the two. *)
+(* Crash-merge: read every shard journal once, replay each into its own
+   engine (the recovery pipeline refuses duplicate registrations, so
+   shards merge as a deterministic fold of per-shard reports, never as
+   one replay), cross-check against the grant WAL's records, and render
+   bit-stable lines. The merge writes nothing. Coordinator startup
+   recovery hands it the records of the WAL it has opened for
+   appending; the offline [dpkit pool replay] only loads files. The
+   chaos harness diffs the two. *)
+
+(* The grant WAL, walked once: what the merge's fencing check compares
+   journals against and what a restarting coordinator rebuilds its
+   arbitration from. *)
+type wal_view = {
+  datasets : (string * float * string) list;
+      (** name, global ε, register line, oldest first; a later record
+          for a name replaces an earlier one *)
+  last_token : int array;  (** per shard, its last incarnation's token *)
+  leased : (int * string, float) Hashtbl.t;
+      (** cumulative lease under the shard's last token *)
+  reclaimed : (int * string, float) Hashtbl.t;  (** absolute reclaimed spend *)
+  next_token : int;  (** above every token in the log *)
+}
+
+let wal_view ~workers records =
+  let last_token = Array.make workers (-1) in
+  let leased = Hashtbl.create 16 and reclaimed = Hashtbl.create 16 in
+  let datasets = ref [] and next_token = ref 1 in
+  let in_range shard = shard >= 0 && shard < workers in
+  let seen token = next_token := Int.max !next_token (token + 1) in
+  List.iter
+    (function
+      | Grant_wal.Dataset { name; eps; line } ->
+          datasets :=
+            (name, eps, line)
+            :: List.filter (fun (n, _, _) -> n <> name) !datasets
+      | Grant_wal.Incarnation { shard; token } ->
+          seen token;
+          if in_range shard then begin
+            last_token.(shard) <- token;
+            Hashtbl.filter_map_inplace
+              (fun (s, _) l -> if s = shard then None else Some l)
+              leased
+          end
+      | Grant_wal.Grant { shard; token; dataset; leased = l; _ } ->
+          seen token;
+          if in_range shard && token = last_token.(shard) then
+            Hashtbl.replace leased (shard, dataset) l
+      | Grant_wal.Reclaim { shard; token; dataset; spent } ->
+          seen token;
+          if in_range shard then
+            Hashtbl.replace reclaimed (shard, dataset) spent)
+    records;
+  {
+    datasets = List.rev !datasets;
+    last_token;
+    leased;
+    reclaimed;
+    next_token = !next_token;
+  }
 
 type shard_ds = {
   sd_spent : float;  (** composed ledger spend (ε) *)
@@ -151,68 +204,50 @@ type shard_ds = {
   sd_rejected : int;
 }
 
-let merge_lines ?(seed = 20120330) ~journal ~workers () =
-  let ( let* ) = Result.bind in
+type merged = {
+  lines : string list;
+  ok : bool;
+  wal : wal_view;
+  shards : (int * (string * shard_ds) list) list;
+      (** per shard, its datasets by name *)
+}
+
+let ( let* ) = Result.bind
+
+let shard_report ~seed path =
+  let* records, _stats = Journal.load path in
+  let eng = Engine.create ~seed () in
+  let* () =
+    Result.map_error (Printf.sprintf "journal %s: %s" path)
+      (Engine.recover eng records)
+  in
+  let faces = face_sums records in
+  Ok
+    (List.sort compare (Engine.datasets eng)
+    |> List.filter_map (fun name ->
+           match Engine.report eng ~dataset:name with
+           | Error _ -> None
+           | Ok r ->
+               Some
+                 ( name,
+                   {
+                     sd_spent = r.Engine.spent.P.epsilon;
+                     sd_face =
+                       Option.value ~default:0. (Hashtbl.find_opt faces name);
+                     sd_total = r.Engine.total.P.epsilon;
+                     sd_answered = r.Engine.answered;
+                     sd_rejected = r.Engine.rejected;
+                   } )))
+
+let merge ~seed ~journal ~workers wal_records =
   let rec shard_reports k acc =
     if k >= workers then Ok (List.rev acc)
     else
-      let path = shard_journal journal k in
-      if not (Sys.file_exists path) then shard_reports (k + 1) ((k, []) :: acc)
-      else
-        let eng = Engine.create ~seed () in
-        let* _r = Engine.open_journal eng path in
-        let* records, _stats = Journal.load path in
-        let faces = face_sums records in
-        let ds =
-          List.sort compare (Engine.datasets eng)
-          |> List.filter_map (fun name ->
-                 match Engine.report eng ~dataset:name with
-                 | Error _ -> None
-                 | Ok r ->
-                     Some
-                       ( name,
-                         {
-                           sd_spent = r.Engine.spent.P.epsilon;
-                           sd_face =
-                             Option.value ~default:0.
-                               (Hashtbl.find_opt faces name);
-                           sd_total = r.Engine.total.P.epsilon;
-                           sd_answered = r.Engine.answered;
-                           sd_rejected = r.Engine.rejected;
-                         } ))
-        in
-        Engine.close eng;
-        shard_reports (k + 1) ((k, ds) :: acc)
+      let* ds = shard_report ~seed (shard_journal journal k) in
+      shard_reports (k + 1) ((k, ds) :: acc)
   in
   let* shards = shard_reports 0 [] in
-  let wal = wal_path journal in
-  let* wal_records, _torn =
-    if Sys.file_exists wal then Grant_wal.load wal else Ok ([], 0)
-  in
-  (* WAL walk: per shard the live fencing token, per (shard, dataset)
-     the cumulative lease under that token and the absolute reclaimed
-     spend — what the fencing check compares journals against. *)
-  let cur_token = Array.make workers (-1) in
-  let leased : (int * string, float) Hashtbl.t = Hashtbl.create 16 in
-  let reclaimed : (int * string, float) Hashtbl.t = Hashtbl.create 16 in
-  let totals : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Grant_wal.Dataset { name; eps; _ } -> Hashtbl.replace totals name eps
-      | Grant_wal.Incarnation { shard; token } ->
-          if shard >= 0 && shard < workers then begin
-            cur_token.(shard) <- token;
-            Hashtbl.iter
-              (fun (s, d) _ -> if s = shard then Hashtbl.remove leased (s, d))
-              (Hashtbl.copy leased)
-          end
-      | Grant_wal.Grant { shard; token; dataset; leased = l; _ } ->
-          if shard >= 0 && shard < workers && token = cur_token.(shard) then
-            Hashtbl.replace leased (shard, dataset) l
-      | Grant_wal.Reclaim { shard; dataset; spent; _ } ->
-          if shard >= 0 && shard < workers then
-            Hashtbl.replace reclaimed (shard, dataset) spent)
-    wal_records;
+  let wal = wal_view ~workers wal_records in
   let dataset_names =
     List.sort_uniq compare
       (List.concat_map (fun (_, ds) -> List.map fst ds) shards)
@@ -241,7 +276,11 @@ let merge_lines ?(seed = 20120330) ~journal ~workers () =
             total := Float.max !total d.sd_total
       done;
       let eps_total =
-        match Hashtbl.find_opt totals name with
+        match
+          List.find_map
+            (fun (n, eps, _) -> if n = name then Some eps else None)
+            wal.datasets
+        with
         | Some e -> e
         | None -> !total
       in
@@ -252,10 +291,10 @@ let merge_lines ?(seed = 20120330) ~journal ~workers () =
             match lookup k name with None -> 0. | Some d -> d.sd_face
           in
           let re =
-            Option.value ~default:0. (Hashtbl.find_opt reclaimed (k, name))
+            Option.value ~default:0. (Hashtbl.find_opt wal.reclaimed (k, name))
           in
           let le =
-            Option.value ~default:0. (Hashtbl.find_opt leased (k, name))
+            Option.value ~default:0. (Hashtbl.find_opt wal.leased (k, name))
           in
           (* spend of the live (unreclaimed) incarnation must fit the
              lease WAL'd for its fencing token *)
@@ -282,7 +321,12 @@ let merge_lines ?(seed = 20120330) ~journal ~workers () =
       (List.length dataset_names)
       (if !ok then "ok" else "VIOLATED")
   in
-  Ok (header :: List.rev !lines, !ok)
+  Ok { lines = header :: List.rev !lines; ok = !ok; wal; shards }
+
+let merge_lines ?(seed = 20120330) ~journal ~workers () =
+  let* wal_records, _torn = Grant_wal.load (wal_path journal) in
+  let* m = merge ~seed ~journal ~workers wal_records in
+  Ok (m.lines, m.ok)
 
 (* ------------------------------------------------------------------ *)
 (* Worker: full engine over its shard journal, serving passed
@@ -1004,25 +1048,30 @@ let run_locked cfg ~gen_lock ~stop =
          (fun k -> Sys.file_exists (shard_journal cfg.journal k))
          (Array.init cfg.workers (fun k -> k))
   in
-  match merge_lines ~seed:cfg.seed ~journal:cfg.journal ~workers:cfg.workers () with
+  match Grant_wal.open_ (wal_path cfg.journal) with
   | Error msg ->
-      Printf.eprintf "pool: recovery merge failed: %s\n%!" msg;
+      Printf.eprintf "pool: %s\n%!" msg;
       1
-  | Ok (lines, ok) -> (
-      if had_state then List.iter print_endline lines;
-      if not ok then begin
-        Printf.eprintf
-          "pool: lease invariant VIOLATED in recovered state — refusing to \
-           serve\n\
-           %!";
-        1
-      end
-      else
-        match Grant_wal.open_ (wal_path cfg.journal) with
-        | Error msg ->
-            Printf.eprintf "pool: %s\n%!" msg;
+  | Ok (wal, wal_records, _torn) -> (
+      match
+        merge ~seed:cfg.seed ~journal:cfg.journal ~workers:cfg.workers
+          wal_records
+      with
+      | Error msg ->
+          Printf.eprintf "pool: recovery merge failed: %s\n%!" msg;
+          Grant_wal.close wal;
+          1
+      | Ok m -> (
+          if had_state then List.iter print_endline m.lines;
+          if not m.ok then begin
+            Printf.eprintf
+              "pool: lease invariant VIOLATED in recovered state — refusing \
+               to serve\n\
+               %!";
+            Grant_wal.close wal;
             1
-        | Ok (wal, wal_records, _torn) -> (
+          end
+          else
             let coord =
               {
                 cfg;
@@ -1030,8 +1079,10 @@ let run_locked cfg ~gen_lock ~stop =
                 listener = None;
                 wal;
                 leases = Hashtbl.create 8;
-                reg_lines = [];
-                next_token = 1;
+                reg_lines =
+                  List.rev_map (fun (name, _, line) -> (name, line))
+                    m.wal.datasets;
+                next_token = m.wal.next_token;
                 cworkers =
                   Array.init cfg.workers (fun shard ->
                       {
@@ -1053,139 +1104,102 @@ let run_locked cfg ~gen_lock ~stop =
                 wal_appends = 0;
               }
             in
-            (* rebuild arbitration from the WAL: datasets and budgets,
-               the next fencing token, and — since every incarnation is
-               dead at coordinator start — per-shard reclaimed spend
-               straight from the shard journals *)
-            let last_token = Array.make cfg.workers (-1) in
-            let wal_reclaimed : (int * string, float) Hashtbl.t =
-              Hashtbl.create 16
-            in
             List.iter
-              (function
-                | Grant_wal.Dataset { name; eps; line } ->
-                    if not (Hashtbl.mem coord.leases name) then begin
-                      Hashtbl.replace coord.leases name
-                        (Lease.create ~total:eps ~shards:cfg.workers);
-                      coord.reg_lines <- (name, line) :: coord.reg_lines
-                    end
-                | Grant_wal.Incarnation { shard; token } ->
-                    coord.next_token <- Int.max coord.next_token (token + 1);
-                    if shard >= 0 && shard < cfg.workers then
-                      last_token.(shard) <- token
-                | Grant_wal.Grant { token; _ } ->
-                    coord.next_token <- Int.max coord.next_token (token + 1)
-                | Grant_wal.Reclaim { shard; token; dataset; spent } ->
-                    coord.next_token <- Int.max coord.next_token (token + 1);
-                    if shard >= 0 && shard < cfg.workers then
-                      Hashtbl.replace wal_reclaimed (shard, dataset) spent)
-              wal_records;
-            let recovery_ok = ref true in
-            for k = 0 to cfg.workers - 1 do
-              let path = shard_journal cfg.journal k in
-              if Sys.file_exists path then begin
-                match Journal.load path with
-                | Error msg ->
-                    Printf.eprintf "pool: shard %d journal: %s\n%!" k msg;
-                    recovery_ok := false
-                | Ok (records, _stats) ->
-                    let faces = face_sums records in
-                    Hashtbl.iter
-                      (fun name lease ->
-                        let spent =
+              (fun (name, eps, _) ->
+                Hashtbl.replace coord.leases name
+                  (Lease.create ~total:eps ~shards:cfg.workers))
+              m.wal.datasets;
+            (* every incarnation is dead at coordinator start: reclaim
+               each shard's journaled face-ε, and WAL what the log has not
+               seen yet *)
+            List.iter
+              (fun (k, ds) ->
+                Hashtbl.iter
+                  (fun name lease ->
+                    match List.assoc_opt name ds with
+                    | Some { sd_face = spent; _ } when spent > 0. -> (
+                        ignore
+                          (Lease.reclaim lease ~shard:k ~spent_total:spent);
+                        let prior =
                           Option.value ~default:0.
-                            (Hashtbl.find_opt faces name)
+                            (Hashtbl.find_opt m.wal.reclaimed (k, name))
                         in
-                        if spent > 0. then begin
-                          ignore
-                            (Lease.reclaim lease ~shard:k ~spent_total:spent);
-                          let prior =
-                            Option.value ~default:0.
-                              (Hashtbl.find_opt wal_reclaimed (k, name))
-                          in
-                          if spent > prior +. slack then
-                            match
-                              Grant_wal.append wal
-                                (Grant_wal.Reclaim
-                                   {
-                                     shard = k;
-                                     token = last_token.(k);
-                                     dataset = name;
-                                     spent;
-                                   })
-                            with
-                            | Ok () ->
-                                coord.wal_appends <- coord.wal_appends + 1
-                            | Error msg ->
-                                Printf.eprintf "pool: grant wal: %s\n%!" msg
-                        end)
-                      coord.leases
-              end
-            done;
-            if not !recovery_ok then 1
-            else
-              try
-                let listener =
-                  Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0
-                in
-                Unix.setsockopt listener Unix.SO_REUSEADDR true;
-                Unix.bind listener
-                  (Unix.ADDR_INET
-                     (Unix.inet_addr_loopback, cfg.net.Server.port));
-                Unix.listen listener cfg.net.Server.backlog;
-                coord.listener <- Some listener;
-                let port =
-                  match Unix.getsockname listener with
-                  | Unix.ADDR_INET (_, p) -> p
-                  | _ -> cfg.net.Server.port
-                in
-                for k = 0 to cfg.workers - 1 do
-                  ignore (spawn_worker coord k)
-                done;
-                Printf.printf "listening port=%d workers=%d\n%!" port
-                  cfg.workers;
-                let rec loop () =
-                  reap coord;
-                  if !stop then begin_drain coord;
-                  if coord.draining && live_workers coord = [] then ()
-                  else begin
-                    let fds =
-                      (match coord.listener with
-                      | Some fd when not coord.draining -> [ fd ]
-                      | _ -> [])
-                      @ List.map (fun w -> w.cctrl) (live_workers coord)
-                    in
-                    (match Unix.select fds [] [] 0.25 with
-                    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                    | ready, _, _ ->
-                        List.iter
-                          (fun fd ->
-                            match coord.listener with
-                            | Some l when fd = l -> (
-                                match Unix.accept l with
-                                | conn, _ -> assign_conn coord conn
-                                | exception Unix.Unix_error _ -> ())
-                            | _ -> (
-                                match
-                                  Array.to_list coord.cworkers
-                                  |> List.find_opt (fun w ->
-                                         w.live && w.cctrl = fd)
-                                with
-                                | Some w -> handle_ctrl_msg coord w
-                                | None -> ()))
-                          ready);
-                    loop ()
-                  end
-                in
-                loop ();
-                write_merged_metrics coord;
-                Grant_wal.close coord.wal;
-                (try Unix.close coord.gen_lock with Unix.Unix_error _ -> ());
-                Printf.printf "drained\n%!";
-                0
-              with Unix.Unix_error (e, fn, _) ->
-                Printf.eprintf "pool: %s: %s\n%!" fn (Unix.error_message e);
-                1))
+                        if spent > prior +. slack then
+                          match
+                            Grant_wal.append wal
+                              (Grant_wal.Reclaim
+                                 {
+                                   shard = k;
+                                   token = m.wal.last_token.(k);
+                                   dataset = name;
+                                   spent;
+                                 })
+                          with
+                          | Ok () -> coord.wal_appends <- coord.wal_appends + 1
+                          | Error msg ->
+                              Printf.eprintf "pool: grant wal: %s\n%!" msg)
+                    | _ -> ())
+                  coord.leases)
+              m.shards;
+            try
+              let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+              Unix.setsockopt listener Unix.SO_REUSEADDR true;
+              Unix.bind listener
+                (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.net.Server.port));
+              Unix.listen listener cfg.net.Server.backlog;
+              coord.listener <- Some listener;
+              let port =
+                match Unix.getsockname listener with
+                | Unix.ADDR_INET (_, p) -> p
+                | _ -> cfg.net.Server.port
+              in
+              for k = 0 to cfg.workers - 1 do
+                ignore (spawn_worker coord k)
+              done;
+              Printf.printf "listening port=%d workers=%d\n%!" port
+                cfg.workers;
+              let rec loop () =
+                reap coord;
+                if !stop then begin_drain coord;
+                if coord.draining && live_workers coord = [] then ()
+                else begin
+                  let fds =
+                    (match coord.listener with
+                    | Some fd when not coord.draining -> [ fd ]
+                    | _ -> [])
+                    @ List.map (fun w -> w.cctrl) (live_workers coord)
+                  in
+                  (match Unix.select fds [] [] 0.25 with
+                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+                  | ready, _, _ ->
+                      List.iter
+                        (fun fd ->
+                          match coord.listener with
+                          | Some l when fd = l -> (
+                              match Unix.accept l with
+                              | conn, _ -> assign_conn coord conn
+                              | exception Unix.Unix_error _ -> ())
+                          | _ -> (
+                              match
+                                Array.to_list coord.cworkers
+                                |> List.find_opt (fun w ->
+                                       w.live && w.cctrl = fd)
+                              with
+                              | Some w -> handle_ctrl_msg coord w
+                              | None -> ()))
+                        ready);
+                  loop ()
+                end
+              in
+              loop ();
+              write_merged_metrics coord;
+              Grant_wal.close coord.wal;
+              (try Unix.close coord.gen_lock with Unix.Unix_error _ -> ());
+              Printf.printf "drained\n%!";
+              0
+            with Unix.Unix_error (e, fn, _) ->
+              Printf.eprintf "pool: %s: %s\n%!" fn (Unix.error_message e);
+              1))
 
 let run cfg =
   if cfg.workers < 2 then invalid_arg "Pool.run: need at least 2 workers";

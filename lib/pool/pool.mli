@@ -24,12 +24,16 @@
     invariant — [Σ reclaimed spend + Σ outstanding leases ≤ global ε]
     per dataset — holds at every crash point.
 
-    Recovery: a restarted coordinator merges the grant WAL with every
-    shard journal ({!merge_lines}), prints the merge, and refuses to
-    serve if the invariant is violated. The same function backs the
-    offline [dpkit pool replay], so the chaos harness can assert the
-    live recovery report is bit-identical to a fault-free offline
-    replay.
+    Recovery: a restarted coordinator opens the grant WAL, reads every
+    shard journal once, replays each into its own engine
+    ({!Dp_engine.Engine.recover}), prints the merge and refuses to
+    serve if the invariant is violated. One walk of the WAL serves both
+    the merge's fencing check and the rebuilt arbitration, and the
+    merge's per-shard face-ε sums are what it reclaims. The offline
+    [dpkit pool replay] ({!merge_lines}) runs the same merge over
+    {!Grant_wal.load} and opens no file for writing, so it is safe to
+    run beside a live pool. The chaos harness asserts that the live
+    recovery report is bit-identical to it.
 
     Generation fencing on disk: the coordinator holds an fcntl lock on
     [<journal>.grants.lock] and each worker on
@@ -75,7 +79,8 @@ val merge_lines :
     index-order float folds). Returns [(lines, invariant_ok)].
     Deterministic: the coordinator's startup recovery and the offline
     [dpkit pool replay] print byte-identical lines for the same
-    on-disk state. *)
+    on-disk state. Reads each file once and writes none, torn tails
+    included. *)
 
 val run : config -> int
 (** Run the pool until SIGTERM/SIGINT, then drain: close the listener,

@@ -11,7 +11,8 @@
 #   - crash-merge recovery is deterministic: the pool-merge report a
 #     restarting coordinator prints is bit-identical (hex floats) to a
 #     fault-free offline `dpkit pool replay` of the same shard journals
-#     and grant WAL;
+#     and grant WAL, and that replay leaves every one of those files
+#     byte-identical;
 #   - no noise value is ever released twice across any worker life: the
 #     set of fresh (cache=miss) released values over all workers, lives
 #     and coordinator generations is duplicate-free;
@@ -167,10 +168,17 @@ if [ "$KILL_MODE" = "coordinator" ] || [ "$KILL_MODE" = "both" ]; then
   # shellcheck disable=SC2086
   wait_gone $WPIDS
 
-  # the offline merge of the crashed state, before anything rewrites it
+  # the offline merge of the crashed state, before anything rewrites it;
+  # replay itself must not: every shard journal and the grant WAL keep
+  # their bytes, torn tails included
+  SUMS_BEFORE=$(cksum "$J".shard* "$J".grants*)
   "$DPKIT" pool replay --journal "$J" --workers 3 > pool_replay_crash.txt || {
     echo "lease invariant violated at the coordinator crash point:"
     cat pool_replay_crash.txt; exit 1; }
+  SUMS_AFTER=$(cksum "$J".shard* "$J".grants*)
+  [ "$SUMS_BEFORE" = "$SUMS_AFTER" ] || {
+    echo "pool replay rewrote the files it inspected:"
+    echo "$SUMS_BEFORE"; echo "--"; echo "$SUMS_AFTER"; exit 1; }
 
   "$DPKIT" serve --tcp "$PORT" --workers 3 --journal "$J" --metrics "$M" \
     ${POOL_FAULTS:+--faults "$POOL_FAULTS"} >"$LOG2" 2>&1 &

@@ -4,10 +4,14 @@
    asserts the two soundness properties the pool leans on: the invariant
    Σ reclaimed + Σ outstanding ≤ E never breaks, and no fencing token
    is ever issued twice. The unit tests pin the grant WAL's round-trip
-   and torn-tail behavior, and the corner decisions of the arbiter. *)
+   and torn-tail behavior, the corner decisions of the arbiter, and an
+   offline replay that leaves every file as it found it. *)
 
 module Lease = Dp_pool.Lease
 module Grant_wal = Dp_pool.Grant_wal
+module Pool = Dp_pool.Pool
+module Engine = Dp_engine.Engine
+module Registry = Dp_engine.Registry
 
 let slack = 1e-9
 
@@ -291,10 +295,77 @@ let wal_tests =
             Sys.remove path);
   ]
 
+(* [dpkit pool replay] inspects a pool's files, possibly beside a live
+   pool whose workers are mid-append: it must read each file and write
+   none, torn tails included. *)
+let replay_tests =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let append_garbage path =
+    Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644
+      path (fun oc -> Out_channel.output_string oc "\x00\x07junk")
+  in
+  [
+    Alcotest.test_case "offline replay writes nothing" `Quick (fun () ->
+        let base = Filename.temp_file "dpkit_pool" ".wal" in
+        Sys.remove base;
+        let shard0 = Pool.shard_journal base 0 and wal = Pool.wal_path base in
+        let eng = Engine.create ~seed:7 () in
+        (match Engine.open_journal eng shard0 with
+        | Error msg -> Alcotest.fail msg
+        | Ok _ -> ());
+        let policy =
+          Registry.default_policy ~total:(Dp_mechanism.Privacy.pure 1.)
+        in
+        (match Engine.register_synthetic eng ~name:"demo" ~rows:50 ~policy with
+        | Error msg -> Alcotest.fail msg
+        | Ok _ -> ());
+        (match Engine.submit_text eng ~dataset:"demo" "count" with
+        | Error _ -> Alcotest.fail "charged query failed"
+        | Ok _ -> ());
+        Engine.close eng;
+        (match Grant_wal.open_ wal with
+        | Error msg -> Alcotest.fail msg
+        | Ok (w, _, _) ->
+            List.iter
+              (fun r -> ignore (Grant_wal.append w r))
+              [
+                Grant_wal.Dataset
+                  { name = "demo"; eps = 1.; line = "register demo eps=1" };
+                Grant_wal.Incarnation { shard = 0; token = 1 };
+                Grant_wal.Grant
+                  { shard = 0; token = 1; dataset = "demo"; leased = 0.5;
+                    deadline = 10. };
+              ];
+            Grant_wal.close w);
+        append_garbage shard0;
+        append_garbage wal;
+        let before = (read shard0, read wal) in
+        (match Pool.merge_lines ~journal:base ~workers:2 () with
+        | Error msg -> Alcotest.fail msg
+        | Ok (lines, ok) ->
+            check "invariant ok" true ok;
+            check "valid prefix replayed" true
+              (List.exists
+                 (String.starts_with
+                    ~prefix:"pool-merge shard=0 dataset=demo ")
+                 lines
+              && List.exists
+                   (fun l ->
+                     String.starts_with ~prefix:"pool-merge dataset=demo " l
+                     && String.ends_with ~suffix:" answered=1 rejected=0" l)
+                   lines));
+        check "journal and wal byte-identical" true
+          (before = (read shard0, read wal));
+        check "no shard journal created" false
+          (Sys.file_exists (Pool.shard_journal base 1));
+        List.iter Sys.remove [ shard0; wal ]);
+  ]
+
 let () =
   Alcotest.run "pool"
     [
       ("lease", lease_unit_tests);
       ("grant-wal", wal_tests);
+      ("replay", replay_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
