@@ -177,14 +177,15 @@ let pp_error fmt = function
   | Transient msg -> Format.fprintf fmt "transient failure: %s" msg
   | Fatal msg -> Format.fprintf fmt "fatal failure: %s" msg
 
-(* Journaling. An [Error] from here means the record is not durable:
-   for budget charges the caller must withhold the answer (the in-memory
-   ledger stays charged, so the accounting can only over-count). *)
-let journal_append t record =
+(* Journaling, one batch per call. An [Error] from here means none of
+   the records is durable: for budget charges the caller must withhold
+   the answer (the in-memory ledger stays charged, so the accounting can
+   only over-count). *)
+let journal_append t records =
   match t.journal with
   | None -> Ok ()
   | Some j -> (
-      match Journal.append j record with
+      match Journal.append j records with
       | Ok () -> Ok ()
       | Error (`Transient msg) -> Error (Transient msg)
       | Error (`Fatal msg) ->
@@ -251,7 +252,9 @@ let register_synthetic t ~name ~rows ~policy =
           match register_serving t ds with
           | Error _ as e -> e
           | Ok () -> (
-              match journal_append t (Journal.Register { name; rows; seed; policy }) with
+              match
+                journal_append t [ Journal.Register { name; rows; seed; policy } ]
+              with
               | Ok () -> Ok ds
               | Error e ->
                   (* never servable without being durable *)
@@ -430,79 +433,82 @@ let submit_serving t sv ?analyst ?epsilon ~dataset query =
                         Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
                     }
                   in
+                  let charge =
+                    Journal.Charge
+                      {
+                        Journal.dataset;
+                        analyst;
+                        query = norm;
+                        mechanism = mech_name;
+                        face;
+                        marginal = charged;
+                        rho = Ledger.rho_of_charge sp.Planner.charge;
+                      }
+                  in
                   let withhold reason err =
-                    (* the ledger is already charged; the journal (when
-                       durable) and the audit log both record the spend
-                       so nothing can under-count, but no answer leaves
-                       the engine *)
+                    (* the ledger is already charged and no answer leaves
+                       the engine; the audit log records the spend, and
+                       the journal (when durable) the charge with its
+                       outcome marker. If even that batch fails, only the
+                       live ledger keeps the charge: it over-counts, and
+                       nothing was released *)
                     sv.rejected <- sv.rejected + 1;
                     sv.withheld <- sv.withheld + 1;
                     ignore
                       (log_decision t ?analyst ~mechanism:mech_name ~dataset
                          ~query:norm ~requested:face ~charged ~cache_hit:false
                          ~verdict:(Audit_log.Charged_unreleased reason) ());
-                    (* best-effort outcome marker: losing it only makes
-                       recovery over-count [answered], never the budget *)
                     ignore
-                      (journal_append t (Journal.Withheld { dataset; reason }));
+                      (journal_append t
+                         [ charge; Journal.Withheld { dataset; reason } ]);
                     Error err
                   in
-                  (* charge-before-answer: the charge must be durable
-                     before any noise is drawn, so a crash from here on
-                     can only over-count spent epsilon *)
-                  match
-                    journal_append t
-                      (Journal.Charge
-                         {
-                           Journal.dataset;
-                           analyst;
-                           query = norm;
-                           mechanism = mech_name;
-                           face;
-                           marginal = charged;
-                           rho = Ledger.rho_of_charge sp.Planner.charge;
-                         })
-                  with
-                  | Error e -> withhold "journal" e
-                  | Ok () -> (
-                      Faults.check t.faults Faults.Crash_after_charge;
-                      let n0 = Dp_obs.Clock.now_ns () in
-                      let h =
-                        Dp_obs.Span.begin_at t.trace ~dataset
-                          Dp_obs.Name.Sp_noise n0
+                  let n0 = Dp_obs.Clock.now_ns () in
+                  let h =
+                    Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_noise
+                      n0
+                  in
+                  let drawn =
+                    Faults.with_retries ~jitter:t.retry_rng (fun ~attempt ->
+                        Faults.check t.faults ~attempt Faults.Rng;
+                        plan.Planner.run t.rng)
+                  in
+                  end_phase t sv.scope h Dp_obs.Name.Noise_ns n0;
+                  match drawn with
+                  | Error msg ->
+                      withhold "rng" (Transient ("rng exhausted: " ^ msg))
+                  | Ok answer -> (
+                      (* charge-before-answer: the charge and the
+                         answer's cache record become durable together,
+                         in one batch, before the answer leaves the
+                         engine, so a crash from here on can only
+                         over-count spent epsilon *)
+                      let batch =
+                        if ds.policy.cache then
+                          [
+                            charge;
+                            Journal.Cache_insert
+                              {
+                                Journal.dataset;
+                                key;
+                                answer;
+                                mechanism = sp.Planner.mechanism;
+                                requested = face;
+                              };
+                          ]
+                        else [ charge ]
                       in
-                      let drawn =
-                        Faults.with_retries ~jitter:t.retry_rng
-                          (fun ~attempt ->
-                            Faults.check t.faults ~attempt Faults.Rng;
-                            plan.Planner.run t.rng)
-                      in
-                      end_phase t sv.scope h Dp_obs.Name.Noise_ns n0;
-                      match drawn with
-                      | Error msg ->
-                          withhold "rng" (Transient ("rng exhausted: " ^ msg))
-                      | Ok answer ->
-                          if ds.policy.cache then begin
+                      match journal_append t batch with
+                      | Error e -> withhold "journal" e
+                      | Ok () ->
+                          Faults.check t.faults Faults.Crash_after_charge;
+                          if ds.policy.cache then
                             Cache.store sv.cache key
                               {
                                 Cache.answer;
                                 mechanism = sp.Planner.mechanism;
                                 requested = face;
                               };
-                            (* a lost cache record is safe (a future miss
-                               re-charges: over-counting), so a failure
-                               here does not withhold the answer *)
-                            ignore
-                              (journal_append t
-                                 (Journal.Cache_insert
-                                    {
-                                      Journal.dataset;
-                                      key;
-                                      answer;
-                                      mechanism = sp.Planner.mechanism;
-                                      requested = face;
-                                    }))
-                          end;
                           sv.answered <- sv.answered + 1;
                           let seq =
                             log_decision t ?analyst ~mechanism:mech_name
@@ -734,7 +740,7 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                        ~query:norm ~requested:face ~charged ~cache_hit:false
                        ~verdict:(Audit_log.Charged_unreleased reason) ());
                   ignore
-                    (journal_append t (Journal.Withheld { dataset; reason }));
+                    (journal_append t [ Journal.Withheld { dataset; reason } ]);
                   Error err
                 in
                 (* charge-before-train: the ledger spend must be durable
@@ -742,16 +748,18 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                    can only over-count spent epsilon *)
                 match
                   journal_append t
-                    (Journal.Charge
-                       {
-                         Journal.dataset;
-                         analyst;
-                         query = norm;
-                         mechanism = mech_name;
-                         face;
-                         marginal = charged;
-                         rho = Ledger.rho_of_charge charge;
-                       })
+                    [
+                      Journal.Charge
+                        {
+                          Journal.dataset;
+                          analyst;
+                          query = norm;
+                          mechanism = mech_name;
+                          face;
+                          marginal = charged;
+                          rho = Ledger.rho_of_charge charge;
+                        };
+                    ]
                 with
                 | Error e -> withhold "journal" e
                 | Ok () -> (
@@ -804,7 +812,7 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                         (* the handle exists iff its frame is durable: a
                            model that cannot be journaled is withheld,
                            never released from memory alone *)
-                        match journal_append t (train_journal_record m) with
+                        match journal_append t [ train_journal_record m ] with
                         | Error e -> withhold "journal" e
                         | Ok () ->
                             Model_store.add sv.models m;
@@ -833,7 +841,7 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                            biased sample *)
                         ignore
                           (journal_append t
-                             (Journal.Withheld { dataset; reason = "unconverged" }));
+                             [ Journal.Withheld { dataset; reason = "unconverged" } ]);
                         sv.rejected <- sv.rejected + 1;
                         sv.withheld <- sv.withheld + 1;
                         ignore
@@ -842,7 +850,7 @@ let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
                              ~cache_hit:false
                              ~verdict:(Audit_log.Charged_unreleased "unconverged")
                              ());
-                        match journal_append t (train_journal_record m) with
+                        match journal_append t [ train_journal_record m ] with
                         | Error e -> Error e
                         | Ok () ->
                             Model_store.add sv.models m;
@@ -1002,7 +1010,7 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
                        ~cache_hit:false
                        ~verdict:(Audit_log.Charged_unreleased reason) ());
                   ignore
-                    (journal_append t (Journal.Withheld { dataset; reason }));
+                    (journal_append t [ Journal.Withheld { dataset; reason } ]);
                   Error err
                 in
                 (* charge-before-open: the whole-lifetime face must be
@@ -1010,16 +1018,18 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
                    only over-count spent epsilon *)
                 match
                   journal_append t
-                    (Journal.Charge
-                       {
-                         Journal.dataset;
-                         analyst;
-                         query = norm;
-                         mechanism = Stream.mechanism_name;
-                         face;
-                         marginal = charged;
-                         rho = Ledger.rho_of_charge charge;
-                       })
+                    [
+                      Journal.Charge
+                        {
+                          Journal.dataset;
+                          analyst;
+                          query = norm;
+                          mechanism = Stream.mechanism_name;
+                          face;
+                          marginal = charged;
+                          rho = Ledger.rho_of_charge charge;
+                        };
+                    ]
                 with
                 | Error e -> withhold "journal" e
                 | Ok () -> (
@@ -1032,14 +1042,16 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
                        model handles *)
                     match
                       journal_append t
-                        (Journal.Stream_open
-                           {
-                             Journal.dataset;
-                             handle;
-                             epsilon = params.Stream.epsilon;
-                             horizon = params.Stream.horizon;
-                             window = params.Stream.window;
-                           })
+                        [
+                          Journal.Stream_open
+                            {
+                              Journal.dataset;
+                              handle;
+                              epsilon = params.Stream.epsilon;
+                              horizon = params.Stream.horizon;
+                              window = params.Stream.window;
+                            };
+                        ]
                     with
                     | Error e -> withhold "journal" e
                     | Ok () ->
@@ -1114,8 +1126,10 @@ let append t handle bit =
                noisy node values is fsynced before the tree mutates *)
             match
               journal_append t
-                (Journal.Stream_append
-                   { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes })
+                [
+                  Journal.Stream_append
+                    { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes };
+                ]
             with
             | Error e -> Error e
             | Ok () ->
@@ -1205,10 +1219,11 @@ type recovery = {
 exception Recovery_failed of string
 
 (* A [Withheld] marker immediately follows the charge whose answer was
-   withheld live (nothing else is journaled in between), so recovered
+   withheld live (a query journals both in one batch; a train or stream
+   open journals the marker right after its own charge), so recovered
    stats and audit verdicts match the live run. An unpaired marker —
-   its charge's own append failed before it — carries no information
-   and is dropped. The one remaining divergence is a genuine crash
+   a train or stream open whose charge append failed before it —
+   carries no information and is dropped. The one remaining divergence is a genuine crash
    between charge and answer: no marker could be written, so recovery
    conservatively counts that charge as answered (budget-wise the two
    outcomes are identical). *)

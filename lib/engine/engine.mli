@@ -13,8 +13,9 @@
 
     With a journal attached ({!open_journal}) every state change is
     durable before its effect is visible: registrations, budget
-    charges (fsynced {e before} the noisy answer is released —
-    charge-before-answer), and cache inserts. A crash at any point can
+    charges and cache inserts. A query's charge and its cache record
+    are fsynced together, as one batch, {e before} the noisy answer is
+    released — charge-before-answer. A crash at any point can
     only over-count spent ε, never under-count. Failures on the release
     path surface as typed {!error}s ([Transient] is retryable, [Fatal]
     is not); injected faults ({!Faults}) drive every one of those paths
@@ -92,8 +93,8 @@ type error =
           [err degraded reason=lease-lost]. *)
   | Transient of string
       (** retryable: the journal append or fsync failed after bounded
-          retries, or the RNG was exhausted — state is consistent (any
-          committed charge is kept, so ε only over-counts) and the
+          retries, or the RNG was exhausted — nothing was released and
+          the live ledger keeps the charge, so ε only over-counts; the
           client may retry *)
   | Fatal of string
       (** not retryable: the journal is poisoned; the engine serves
@@ -117,8 +118,9 @@ val submit :
 (** Serve one query. [epsilon] defaults to the dataset policy's
     [default_epsilon]. Cache hits are answered even after the budget is
     exhausted (post-processing costs nothing), and even in degraded
-    mode. With a journal attached the charge is journaled and fsynced
-    before any noise is drawn. *)
+    mode. With a journal attached the charge and the answer's cache
+    record are journaled and fsynced as one batch after the noise is
+    drawn in memory and before the answer is returned. *)
 
 val submit_text :
   t -> ?analyst:string -> ?epsilon:float -> dataset:string -> string ->

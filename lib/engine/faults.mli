@@ -30,12 +30,13 @@
     so they are armed explicitly (see {!is_transient}). *)
 
 type point =
-  | Journal_write  (** transient: the journal append write fails *)
-  | Journal_fsync  (** transient: the post-append fsync fails *)
+  | Journal_write  (** transient: a journal batch's write fails *)
+  | Journal_fsync  (** transient: a journal batch's fsync fails *)
   | Rng  (** transient: the entropy source is exhausted mid-release *)
   | Crash_after_charge
-      (** fatal: the process dies after the charge is journaled but
-          before the noisy answer is released — the crash that
+      (** fatal: the process dies after the release's charge (with a
+          query's cache record, in one batch) is journaled but before
+          the noisy answer is released — the crash that
           charge-before-answer ordering makes safe *)
   | Garbage_line
       (** protocol: the next input line is replaced by an oversized

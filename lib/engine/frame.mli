@@ -55,7 +55,8 @@ val max_payload : int
 (** 16 MiB. *)
 
 val frame : string -> string
-(** Header and payload, ready for {!write}. *)
+(** Header and payload, ready for {!write}; frames written back to back
+    form a log. *)
 
 val load : (cursor -> 'a) -> string -> ('a list * int, string) result
 (** [load decode path]: the records of the longest valid prefix and the
@@ -74,12 +75,12 @@ val open_ : (cursor -> 'a) -> string -> (t * 'a list * int, string) result
     entry would silently forget its records. *)
 
 val write : t -> string -> unit
-(** Write one frame at the end of the file. Raises [Unix.Unix_error];
-    a failed write can leave part of the frame behind. The clean offset
-    does not move. *)
+(** Write framed bytes at the end of the file. Raises
+    [Unix.Unix_error]; a failed write can leave part of them behind.
+    The clean offset does not move. *)
 
 val commit : t -> string -> unit
-(** Extend the clean prefix over a frame that {!write} wrote whole. *)
+(** Extend the clean prefix over bytes that {!write} wrote whole. *)
 
 val cut : t -> unit
 (** Truncate the file back to the clean offset. Raises

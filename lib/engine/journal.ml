@@ -336,38 +336,39 @@ let open_ ?(faults = Faults.none) ?(obs = Dp_obs.Metrics.null) ?jitter path =
           records,
           stats records torn )
 
-let append t record =
+let append t records =
   if t.poisoned then Error (`Fatal "journal poisoned by an earlier failure")
   else
     let t0 = Dp_obs.Clock.now_ns () in
-    let framed = frame (encode record) in
+    let batch = String.concat "" (List.map (fun r -> frame (encode r)) records) in
+    (* cut back to where the batch began, so nothing the caller was
+       refused can replay; if even that is impossible the journal can no
+       longer be trusted *)
+    let refuse step msg =
+      match Frame.cut t.log with
+      | () -> Error (`Transient (Printf.sprintf "journal %s failed: %s" step msg))
+      | exception Unix.Unix_error _ ->
+          t.poisoned <- true;
+          Error
+            (`Fatal
+              (Printf.sprintf
+                 "journal %s failed and the file could not be repaired: %s"
+                 step msg))
+    in
     let write =
       Faults.with_retries ?jitter:t.jitter (fun ~attempt ->
-          (* a failed earlier attempt may have left a partial frame:
-             O_APPEND writes land at the end, so cut back to the last
-             clean frame boundary before writing again *)
+          (* a failed earlier attempt may have left part of the batch:
+             O_APPEND writes land at the end, so cut back first *)
           if attempt > 1 then begin
             Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_retries;
             Frame.cut t.log
           end;
           Faults.check t.faults ~attempt Faults.Journal_write;
-          Frame.write t.log framed)
+          Frame.write t.log batch)
     in
     match write with
-    | Error msg -> (
-        (* leave the file at a clean frame boundary; if even that is
-           impossible the journal can no longer be trusted *)
-        match Frame.cut t.log with
-        | () -> Error (`Transient (Printf.sprintf "journal write failed: %s" msg))
-        | exception Unix.Unix_error _ ->
-            t.poisoned <- true;
-            Error
-              (`Fatal
-                (Printf.sprintf
-                   "journal write failed and the file could not be repaired: %s"
-                   msg)))
+    | Error msg -> refuse "write" msg
     | Ok () -> (
-        Frame.commit t.log framed;
         let f0 = Dp_obs.Clock.now_ns () in
         let sync =
           Faults.with_retries ?jitter:t.jitter (fun ~attempt ->
@@ -379,13 +380,12 @@ let append t record =
         Dp_obs.Metrics.observe t.obs Dp_obs.Name.Journal_fsync_ns
           (Dp_obs.Clock.elapsed_ns f0);
         match sync with
+        | Error msg -> refuse "fsync" msg
         | Ok () ->
+            Frame.commit t.log batch;
             Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_fsyncs;
-            Dp_obs.Metrics.incr t.obs Dp_obs.Name.Journal_appends;
+            Dp_obs.Metrics.add t.obs Dp_obs.Name.Journal_appends
+              (List.length records);
             Dp_obs.Metrics.observe t.obs Dp_obs.Name.Journal_append_ns
               (Dp_obs.Clock.elapsed_ns t0);
-            Ok ()
-        | Error msg ->
-            (* the frame is intact but not durably on disk: the caller
-               must withhold the answer, but may retry later *)
-            Error (`Transient (Printf.sprintf "journal fsync failed: %s" msg)))
+            Ok ())

@@ -7,13 +7,15 @@
     discipline, specialised to the charge-before-answer ordering:
 
     - every state change (dataset registration, budget charge, cache
-      insert) is appended as one checksummed {!Frame} and fsynced
-      {e before} the noisy answer is released;
+      insert) is a checksummed {!Frame}. A query's charge and its cache
+      record are appended as one batch (one write, one fsync) after
+      the noise is drawn in memory and {e before} the noisy answer is
+      released;
     - recovery replays the journal into a fresh engine, truncating a
       torn tail record (a crash mid-write) at the last valid frame;
-    - because the charge is durable before the answer exists, a crash
-      at any point can only {e over}-count spent ε, never under-count:
-      replayed spend ≥ spend at the crash point, always.
+    - because the charge is durable before the answer leaves the
+      engine, a crash at any point can only {e over}-count spent ε,
+      never under-count: replayed spend ≥ released spend, always.
 
     Charge records carry both the face-value budget (with the RDP curve
     evaluated on the ledger's α-grid, so Rényi accounting reconstructs
@@ -94,13 +96,16 @@ type record =
   | Charge of charge_record
   | Cache_insert of cache_record
   | Withheld of { dataset : string; reason : string }
-      (** outcome marker, appended best-effort right after a [Charge]
-          whose answer was withheld live (journal or RNG failure after
-          the ledger committed): recovery pairs it with the preceding
-          charge so rebuilt answered/rejected stats and audit verdicts
-          match the live run. Losing the marker (it is not fsync-gated
-          the way charges are) only makes recovery over-count
-          [answered]; the budget itself is carried by the [Charge]. *)
+      (** outcome marker for a [Charge] whose answer was withheld live
+          (journal or RNG failure after the ledger committed): recovery
+          pairs it with the charge right before it, so rebuilt
+          answered/rejected stats and audit verdicts match the live
+          run. A withheld query appends it in the same batch as its
+          charge; a withheld train or stream open appends it best-effort
+          right after its own charge. Only a genuine crash between
+          charge and outcome leaves a charge without its marker, which
+          makes recovery over-count [answered]; the budget itself is
+          carried by the [Charge]. *)
   | Train of train_record
       (** a completed training run — released or withheld — appended
           after its [Charge] (and, when unconverged, after the
@@ -143,14 +148,21 @@ val open_ :
     under-count). [Error] means the file could not be opened or
     repaired at all. *)
 
-val append : t -> record -> (unit, [ `Transient of string | `Fatal of string ]) result
-(** Frame, write, flush and fsync one record, with bounded
-    retry-with-backoff ({!Faults.with_retries}) around both the write
-    and the fsync. [`Transient]: the record is not durable but the file
-    is clean — the caller may retry the whole operation later.
-    [`Fatal]: the file could not be restored to a clean state; the
+val append :
+  t -> record list -> (unit, [ `Transient of string | `Fatal of string ]) result
+(** Append the records of one release as one batch: framed back to
+    back, written with one write and made durable with one fsync, each
+    under bounded retry-with-backoff ({!Faults.with_retries}). All of
+    the batch is durable or none of it: the clean prefix extends over
+    the batch only after the fsync succeeds, and a write or fsync that
+    still fails after its retries cuts the file back to where the batch
+    began, so a refused record never replays. [`Transient]: nothing of
+    the batch is in the file, and the caller may retry the whole
+    operation later. [`Fatal]: the file could not be cut back; the
     journal is poisoned and every later append fails fatally (the
-    engine then degrades to serving cache hits only). *)
+    engine then degrades to serving cache hits only). The counters
+    count [journal_appends] per record and [journal_fsyncs] per batch;
+    [journal_append_ns] times a batch. *)
 
 val path : t -> string
 val close : t -> unit

@@ -23,6 +23,12 @@ let default_config =
     retry_after_base_ms = 50;
   }
 
+(* A connection's queue holds its request lines in arrival order: an
+   admitted line waiting to execute, or a line shed at admission whose
+   reply is already known. Shed replies wait their turn, so the reply
+   order on a connection is the request order. *)
+type entry = Request of Linebuf.line | Shed of string
+
 (* One connection's whole state machine: bounded line reassembly in,
    queued requests, one reply frame at a time out. [out]/[out_pos] is
    the unflushed reply; a conn with a non-empty [out] counts toward the
@@ -31,7 +37,8 @@ let default_config =
 type conn = {
   fd : Unix.file_descr;
   lb : Linebuf.t;
-  requests : Linebuf.line Queue.t;
+  requests : entry Queue.t;
+  mutable admitted : int;  (** [Request] entries in [requests] *)
   mutable out : Bytes.t;
   mutable out_pos : int;
   mutable close_after_flush : bool;
@@ -101,7 +108,7 @@ let depth t =
     (fun acc c ->
       if c.closed then acc
       else
-        acc + Queue.length c.requests
+        acc + c.admitted
         + (if has_output c || c.req_start_ns > 0 then 1 else 0))
     0 t.conns
 
@@ -111,12 +118,11 @@ let retry_after_ms t =
 let overloaded_line t =
   Printf.sprintf "err overloaded retry-after=%d" (retry_after_ms t)
 
-(* Append one reply frame: the reply lines, then the blank-line
-   terminator that lets the client know the frame is complete. *)
+(* Fill the empty output with one reply frame: the reply lines, then
+   the blank-line terminator that lets the client know the frame is
+   complete. *)
 let queue_frame ?(terminated = true) c lines =
   let b = Buffer.create 256 in
-  if has_output c then
-    Buffer.add_subbytes b c.out c.out_pos (Bytes.length c.out - c.out_pos);
   List.iter
     (fun l ->
       Buffer.add_string b l;
@@ -142,6 +148,7 @@ let mk_conn fd =
     fd;
     lb = Linebuf.create ();
     requests = Queue.create ();
+    admitted = 0;
     out = Bytes.empty;
     out_pos = 0;
     close_after_flush = false;
@@ -202,13 +209,13 @@ let handle_line t c (l : Linebuf.line) =
   in
   if depth t >= bound then begin
     Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests_shed;
-    queue_frame c [ overloaded_line t ];
-    if c.deadline = 0. then c.deadline <- now_s () +. t.cfg.reply_deadline_s
+    Queue.push (Shed (overloaded_line t)) c.requests
   end
   else begin
-    Queue.push l c.requests;
-    if c.deadline = 0. then c.deadline <- now_s () +. t.cfg.reply_deadline_s
-  end
+    Queue.push (Request l) c.requests;
+    c.admitted <- c.admitted + 1
+  end;
+  if c.deadline = 0. then c.deadline <- now_s () +. t.cfg.reply_deadline_s
 
 let read_buf = Bytes.create 4096
 
@@ -230,40 +237,49 @@ let read_phase t c =
     | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
         close_conn t `Normal c
 
+(* A conn can take its next queued entry once its previous reply frame
+   is fully flushed — the reply order on a connection is the request
+   order. *)
+let runnable c = not (c.closed || has_output c || Queue.is_empty c.requests)
+
 (* Execute at most one queued request per conn per loop turn (round-
-   robin fairness), and only once the previous reply frame is fully
-   flushed — the reply order on a connection is the request order. *)
+   robin fairness). *)
 let exec_phase t exec c =
-  if c.closed || has_output c || Queue.is_empty c.requests then ()
-  else begin
-    let l = Queue.pop c.requests in
-    c.req_start_ns <- Dp_obs.Clock.now_ns ();
-    Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
-    let text, bytes =
-      if Faults.fire t.faults Faults.Garbage_line then
-        let g = String.make (Protocol.max_line_bytes + 64) '\xfe' in
-        (g, String.length g)
-      else (l.Linebuf.text, l.Linebuf.bytes)
-    in
-    let reply =
-      if bytes > Protocol.max_line_bytes then
-        [ Protocol.oversized_reply bytes ]
-      else exec text
-    in
-    if Protocol.is_quit text then c.close_after_flush <- true;
-    if Faults.fire t.faults Faults.Write_drop then
-      (* reply computed (and any charge journaled), zero bytes written:
-         the client must retry through a torn connection *)
-      close_conn t `Normal c
-    else if Faults.fire t.faults Faults.Conn_reset then begin
-      (* first line only, no terminator: a torn frame mid-reply *)
-      (match reply with
-      | first :: _ -> queue_frame ~terminated:false c [ first ]
-      | [] -> ());
-      c.close_after_flush <- true
-    end
-    else queue_frame c reply
-  end
+  if not (runnable c) then ()
+  else
+    match Queue.pop c.requests with
+    | Shed reply ->
+        (* answered at admission: nothing runs, and no fault point
+           applies *)
+        queue_frame c [ reply ]
+    | Request l ->
+        c.admitted <- c.admitted - 1;
+        c.req_start_ns <- Dp_obs.Clock.now_ns ();
+        Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_requests;
+        let text, bytes =
+          if Faults.fire t.faults Faults.Garbage_line then
+            let g = String.make (Protocol.max_line_bytes + 64) '\xfe' in
+            (g, String.length g)
+          else (l.Linebuf.text, l.Linebuf.bytes)
+        in
+        let reply =
+          if bytes > Protocol.max_line_bytes then
+            [ Protocol.oversized_reply bytes ]
+          else exec text
+        in
+        if Protocol.is_quit text then c.close_after_flush <- true;
+        if Faults.fire t.faults Faults.Write_drop then
+          (* reply computed (and any charge journaled), zero bytes written:
+             the client must retry through a torn connection *)
+          close_conn t `Normal c
+        else if Faults.fire t.faults Faults.Conn_reset then begin
+          (* first line only, no terminator: a torn frame mid-reply *)
+          (match reply with
+          | first :: _ -> queue_frame ~terminated:false c [ first ]
+          | [] -> ());
+          c.close_after_flush <- true
+        end
+        else queue_frame c reply
 
 let write_phase t c =
   if c.closed || not (has_output c) then ()
@@ -371,8 +387,11 @@ let run ?exec ?control t =
             (fun c -> if (not c.closed) && has_output c then Some c.fd else None)
             t.conns
         in
+        (* pipelined entries already queued wait for no fd: only a
+           turn with nothing runnable may sleep *)
         let timeout =
-          if t.stopping then 0.02
+          if List.exists runnable t.conns then 0.
+          else if t.stopping then 0.02
           else Float.min (next_wakeup t) (if control = None then 1.0 else 0.25)
         in
         let r, _, _ =

@@ -22,7 +22,10 @@
       [max_inflight] queued work items, new arrivals are shed with
       [err overloaded retry-after=MS]. The shed decision and the hint
       are computed from queue depth {e only} — never ledger or budget
-      state — so being shed reveals nothing about spent ε.
+      state — so being shed reveals nothing about spent ε. A shed
+      line's reply waits behind the replies to that connection's
+      earlier requests, so a pipelining client reads every reply in
+      request order.
     - {b Graceful drain}: {!request_stop} (called from SIGTERM/SIGINT
       handlers) makes {!run} stop accepting and reading, finish every
       queued request, flush every reply, close all connections, and

@@ -7,8 +7,11 @@
 #     and torn replies, and the hard restart;
 #   - no noise value is ever released twice: the set of fresh
 #     (cache=miss) released values across both server lives is
-#     duplicate-free, and a pre-kill answer re-asked after the restart
-#     replays from the recovered cache bit-identically;
+#     duplicate-free;
+#   - no answer leaves the server before its records are durable: every
+#     wave-1 and wave-2 answer, including those in flight at the kill -9,
+#     re-asked after the restarts replays from the recovered cache
+#     bit-identically and charges nothing;
 #   - the journal is the truth: spent epsilon and answered counts from
 #     the live (recovered, post-soak) report agree with a fault-free
 #     offline replay of the same journal, and the audit trace verifies;
@@ -38,7 +41,7 @@ M="chaos_soak.metrics"
 SRVLOG1="chaos_srv1.log"
 SRVLOG2="chaos_srv2.log"
 SRVLOG3="chaos_srv3.log"
-rm -f "$J" "$M" "$SRVLOG1" "$SRVLOG2" "$SRVLOG3" chaos_cli_*.out
+rm -f "$J" "$M" "$SRVLOG1" "$SRVLOG2" "$SRVLOG3" chaos_cli_*.out chaos_reask.*
 
 client() { # client PORT JITTER_SEED
   "$DPKIT" client --port "$1" --attempts 15 --backoff 0.02 --backoff-cap 0.3 \
@@ -96,11 +99,6 @@ for i in 1 2 3; do
   [ "$(grep -c '^ok seq=' "chaos_cli_w1_$i.out")" -eq 3 ] || {
     echo "wave-1 client $i missing answers:"; cat "chaos_cli_w1_$i.out"; exit 1; }
 done
-# Client 1 sends its queries sequentially, so its first answer is the
-# eps=0.011 one — even when a dropped reply forced a retry that came
-# back as a cache=hit instead of the original fresh charge.
-V1=$(sed -n 's/^ok seq=[0-9]* value=\([^ ]*\) .*/\1/p' chaos_cli_w1_1.out | head -1)
-[ -n "$V1" ] || { echo "no eps=0.011 answer in wave 1"; cat chaos_cli_w1_1.out; exit 1; }
 
 # --- wave 2: kill -9 mid-wave, restart on the same journal -------------
 W2PIDS=""
@@ -224,11 +222,34 @@ TDUPES=$(grep -h '^ok model\|^  theta=' chaos_cli_train*.out \
   | sort -u | cut -f2 | sort | uniq -d)
 [ -z "$TDUPES" ] || { echo "theta released twice: $TDUPES"; exit 1; }
 
-# --- recovered cache: a pre-kill answer replays bit-identically --------
-printf 'query demo mean(income) eps=0.011\nreport demo\nreplay demo\n' \
+# --- recovered cache: every released answer replays bit-identically ---
+# Each client sends its queries sequentially, so its k-th answer is the
+# one to its k-th query (eps=0.<wave-1><client><k>), even when a dropped
+# reply forced a retry that came back as a cache=hit instead of the
+# original fresh charge. Wave 2's kill -9 lands while releases are in
+# flight, so this is the end-to-end check that no answer left the
+# server before its charge and cache record were durable.
+: > chaos_reask.queries
+: > chaos_reask.expected
+for w in 1 2; do
+  for i in 1 2 3; do
+    k=1
+    for v in $(sed -n 's/^ok seq=[0-9]* value=\([^ ]*\) .*/\1/p' "chaos_cli_w${w}_$i.out"); do
+      printf 'query demo mean(income) eps=0.%d%d%d\n' $((w - 1)) "$i" "$k" >> chaos_reask.queries
+      echo "$v" >> chaos_reask.expected
+      k=$((k + 1))
+    done
+  done
+done
+[ "$(wc -l < chaos_reask.expected)" -eq 18 ] || {
+  echo "expected 18 wave-1/wave-2 answers to re-ask:"; cat chaos_reask.expected; exit 1; }
+{ cat chaos_reask.queries; printf 'report demo\nreplay demo\n'; } \
   | client "$PORT" 200 > chaos_cli_verify.out
-grep -q "^ok seq=[0-9]* value=$V1 .*cache=hit" chaos_cli_verify.out || {
-  echo "pre-kill answer not replayed bit-identically (expected $V1):"
+sed -n 's/^ok seq=[0-9]* value=\([^ ]*\) .*eps-charged=0 cache=hit$/\1/p' \
+  chaos_cli_verify.out > chaos_reask.got
+cmp -s chaos_reask.expected chaos_reask.got || {
+  echo "released answers not replayed bit-identically as free cache hits:"
+  paste chaos_reask.queries chaos_reask.expected
   cat chaos_cli_verify.out; exit 1; }
 grep -q 'ok replay consistent' chaos_cli_verify.out || {
   echo "live audit replay inconsistent:"; cat chaos_cli_verify.out; exit 1; }
@@ -286,4 +307,4 @@ OFF2_SWIN=$(echo "$OFFLINE2" | sed -n 's/^ok stream-window .* count-hex=\([^ ]*\
 [ "$OFF_SREAD" = "$OFF2_SREAD" ] && [ "$OFF_SWIN" = "$OFF2_SWIN" ] || {
   echo "two recoveries disagree: $OFF_SREAD/$OFF_SWIN vs $OFF2_SREAD/$OFF2_SWIN"; exit 1; }
 
-rm -f "$J" "$M" "$SRVLOG1" "$SRVLOG2" "$SRVLOG3" chaos_cli_*.out
+rm -f "$J" "$M" "$SRVLOG1" "$SRVLOG2" "$SRVLOG3" chaos_cli_*.out chaos_reask.*

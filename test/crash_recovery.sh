@@ -2,12 +2,15 @@
 # Kill-and-restart integration test for the write-ahead budget journal.
 #
 # Phase 1 serves three fresh queries with a crash injected between the
-# third charge and its answer (the process dies with the budget spent
-# and nothing released). Phase 2 restarts on the same journal and
-# checks the two crash-safety invariants end to end:
+# third query's durable batch (its charge and cache record) and its
+# answer (the process dies with the budget spent and nothing released).
+# Phase 2 restarts on the same journal and checks the crash-safety
+# invariants end to end:
 #   - spent epsilon is monotone across the crash: all three charges
 #     survive, including the one whose answer never left the process;
-#   - pre-crash answers replay from the recovered cache bit-identically.
+#   - pre-crash answers replay from the recovered cache bit-identically;
+#   - the crashed query was charged once: re-asked after the restart it
+#     is a cache hit that charges nothing.
 set -eu
 
 DPKIT="$1"
@@ -40,12 +43,21 @@ if [ -z "$VALUE1" ]; then
   exit 1
 fi
 
-OUT2=$(printf 'report demo\nquery demo count\nquit\n' \
+OUT2=$(printf 'report demo\nquery demo count\nquery demo sum(income)\nreport demo\nquit\n' \
   | "$DPKIT" serve --journal "$J" 2>/dev/null)
 
-# budget not reset: 3 charges of 0.1 each, crashed one included
-if ! echo "$OUT2" | grep -q 'eps-spent=0\.3 '; then
-  echo "spent budget lost or reset across the crash:"
+# budget not reset: 3 charges of 0.1 each, crashed one included, and
+# still 0.3 after the crashed query is re-asked
+if [ "$(echo "$OUT2" | grep -c 'eps-spent=0\.3 ')" -ne 2 ]; then
+  echo "spent budget lost, reset or charged again across the crash:"
+  echo "$OUT2"
+  exit 1
+fi
+
+# the crashed query's batch was durable before the crash: its re-ask
+# replays the cached answer and charges nothing
+if ! echo "$OUT2" | grep '^ok seq=' | sed -n 2p | grep -q 'eps-charged=0 cache=hit'; then
+  echo "crashed sum(income) not replayed from the recovered cache:"
   echo "$OUT2"
   exit 1
 fi

@@ -86,7 +86,7 @@ let roundtrip () =
       Alcotest.(check int) "fresh journal empty" 0 (List.length existing);
       List.iter
         (fun r ->
-          match Journal.append j r with
+          match Journal.append j [ r ] with
           | Ok () -> ()
           | Error (`Transient m | `Fatal m) -> Alcotest.fail m)
         sample_records;
@@ -102,7 +102,7 @@ let roundtrip () =
 let torn_tail () =
   with_journal (fun path ->
       let j, _, _ = ok (Journal.open_ path) in
-      List.iter (fun r -> ignore (Journal.append j r)) sample_records;
+      List.iter (fun r -> ignore (Journal.append j [ r ])) sample_records;
       Journal.close j;
       let full = In_channel.with_open_bin path In_channel.input_all in
       (* chop mid-frame: every cut must recover a clean prefix *)
@@ -409,6 +409,132 @@ let crash_after_charge () =
         again.Engine.cache_hit;
       Alcotest.(check bool) "pre-crash answer bit-identical" true
         (first.Engine.answer = again.Engine.answer);
+      Engine.close recovered)
+
+(* --- one fsync per release --- *)
+
+let journal_counters eng =
+  let g = Dp_obs.Metrics.global (Engine.metrics eng) in
+  ( Dp_obs.Metrics.count g Dp_obs.Name.Journal_fsyncs,
+    Dp_obs.Metrics.count g Dp_obs.Name.Journal_appends )
+
+(* A fresh answer's charge and its cache record are one batch: one
+   fsync for two records, or for the charge alone when the dataset's
+   cache is off. *)
+let one_fsync_per_answer () =
+  with_journal (fun path ->
+      let eng = fresh () in
+      let _ = ok (Engine.open_journal eng path) in
+      let _ =
+        ok (Engine.register_synthetic eng ~name:"cached" ~rows:100
+              ~policy:(policy ()))
+      in
+      let _ =
+        ok (Engine.register_synthetic eng ~name:"uncached" ~rows:100
+              ~policy:{ (policy ()) with Registry.cache = false })
+      in
+      let n = 5 in
+      let answer_fresh dataset =
+        let f0, a0 = journal_counters eng in
+        for i = 1 to n do
+          let r =
+            ok_r "count"
+              (Engine.submit_text eng ~dataset (Printf.sprintf "count(age>%d)" i))
+          in
+          Alcotest.(check bool) "fresh answer" false r.Engine.cache_hit
+        done;
+        let f1, a1 = journal_counters eng in
+        (f1 - f0, a1 - a0)
+      in
+      let fsyncs, appends = answer_fresh "cached" in
+      Alcotest.(check int) "caching: one fsync per answer" n fsyncs;
+      Alcotest.(check int) "caching: charge + cache record per answer"
+        (2 * n) appends;
+      let fsyncs, appends = answer_fresh "uncached" in
+      Alcotest.(check int) "cache off: one fsync per answer" n fsyncs;
+      Alcotest.(check int) "cache off: the charge alone" n appends;
+      Engine.close eng)
+
+(* A withheld draw journals its charge and outcome marker in one batch. *)
+let one_fsync_per_withheld_draw () =
+  with_journal (fun path ->
+      let eng = fresh ~faults:(ok (Faults.parse "rng=always")) () in
+      let _ = ok (Engine.open_journal eng path) in
+      let _ =
+        ok (Engine.register_synthetic eng ~name:"demo" ~rows:100
+              ~policy:(policy ()))
+      in
+      let f0, a0 = journal_counters eng in
+      (match Engine.submit_text eng ~dataset:"demo" "count" with
+      | Error (Engine.Transient _) -> ()
+      | Ok _ -> Alcotest.fail "rng=always released an answer"
+      | Error e ->
+          Alcotest.failf "expected transient, got %s"
+            (Format.asprintf "%a" Engine.pp_error e));
+      let f1, a1 = journal_counters eng in
+      Alcotest.(check int) "one fsync" 1 (f1 - f0);
+      Alcotest.(check int) "two records" 2 (a1 - a0);
+      Engine.close eng;
+      match List.rev (fst (ok (Journal.load path))) with
+      | Journal.Withheld { reason = "rng"; _ } :: Journal.Charge _ :: _ -> ()
+      | _ -> Alcotest.fail "the batch is not [Charge; Withheld]")
+
+(* --- a refused record stays refused --- *)
+
+(* A register whose fsync fails after every retry is refused live, and
+   the journal is cut back, so a restart does not serve it either. *)
+let refused_register_not_replayed () =
+  with_journal (fun path ->
+      let eng = fresh ~faults:(ok (Faults.parse "journal-fsync=always")) () in
+      let _ = ok (Engine.open_journal eng path) in
+      (match
+         Engine.register_synthetic eng ~name:"demo" ~rows:100
+           ~policy:(policy ())
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "register accepted without a durable frame");
+      Engine.close eng;
+      let recovered = fresh () in
+      let r = ok (Engine.open_journal recovered path) in
+      Alcotest.(check int) "nothing replayed" 0 r.Engine.records;
+      Alcotest.(check bool) "demo not served" true
+        (Engine.find recovered "demo" = None);
+      Engine.close recovered)
+
+(* Likewise a refused stream append: the recovered stream is as long as
+   the live one. *)
+let refused_append_not_replayed () =
+  with_journal (fun path ->
+      let eng = fresh () in
+      let _ = ok (Engine.open_journal eng path) in
+      let _ =
+        ok (Engine.register_synthetic eng ~name:"demo" ~rows:100
+              ~policy:(policy ()))
+      in
+      let o =
+        ok_r "stream open"
+          (Engine.stream_open eng ~dataset:"demo"
+             { Dp_stream.Stream.epsilon = 0.1; horizon = 16; window = 0 })
+      in
+      let handle = o.Engine.stream.Dp_stream.Stream_store.handle in
+      let _ = ok_r "append" (Engine.append eng handle 1) in
+      Engine.close eng;
+      let t_now eng =
+        (ok_r "read" (Engine.stream_read eng handle)).Engine.t_now
+      in
+      let live = fresh ~faults:(ok (Faults.parse "journal-fsync=always")) () in
+      let _ = ok (Engine.open_journal live path) in
+      (match Engine.append live handle 1 with
+      | Error (Engine.Transient _) -> ()
+      | Ok _ -> Alcotest.fail "append accepted without a durable frame"
+      | Error e ->
+          Alcotest.failf "expected transient, got %s"
+            (Format.asprintf "%a" Engine.pp_error e));
+      Alcotest.(check int) "live stream keeps t=1" 1 (t_now live);
+      Engine.close live;
+      let recovered = fresh () in
+      let _ = ok (Engine.open_journal recovered path) in
+      Alcotest.(check int) "recovered stream matches live" 1 (t_now recovered);
       Engine.close recovered)
 
 (* --- fault injection and retries --- *)
@@ -748,6 +874,17 @@ let () =
             withheld_outcome_recovered;
           Alcotest.test_case "metrics snapshot recovered" `Quick
             metrics_snapshot_recovered;
+          Alcotest.test_case "refused register not replayed" `Quick
+            refused_register_not_replayed;
+          Alcotest.test_case "refused append not replayed" `Quick
+            refused_append_not_replayed;
+        ] );
+      ( "batching",
+        [
+          Alcotest.test_case "one fsync per fresh answer" `Quick
+            one_fsync_per_answer;
+          Alcotest.test_case "one fsync per withheld draw" `Quick
+            one_fsync_per_withheld_draw;
         ] );
       ( "faults",
         [

@@ -225,7 +225,7 @@ let journal =
         | Ok (j, _, _) ->
             List.iter
               (fun r ->
-                match Journal.append j r with
+                match Journal.append j [ r ] with
                 | Ok () -> ()
                 | Error (`Transient msg | `Fatal msg) -> Alcotest.fail msg)
               records;

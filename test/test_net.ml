@@ -346,6 +346,57 @@ let inflight_shedding () =
       Unix.close a;
       Unix.close b)
 
+(* A pipelining client matches replies to requests by position, so a
+   line shed at admission must be answered in its turn, never ahead of
+   the replies to the same connection's earlier lines. Lines already
+   queued wait for no socket event, so the replies must not wait out
+   the loop's idle select timeout (1 s) one by one either. *)
+let shed_keeps_reply_order () =
+  let config = { default_test_config with max_inflight = 2 } in
+  with_server ~config (fun eng port ->
+      (match Protocol.exec eng "register demo rows=50 eps=10" with
+      | first :: _ when contains ~sub:"ok" first -> ()
+      | _ -> Alcotest.fail "register failed");
+      let fd = connect port in
+      let t0 = Unix.gettimeofday () in
+      send fd
+        (String.concat ""
+           (List.init 5 (fun i ->
+                Printf.sprintf "query demo count eps=0.0%d\n" (i + 1))));
+      (* several frames may arrive in one read: keep every line until
+         five blank terminators have closed five one-line frames *)
+      let lb = Linebuf.create () and buf = Bytes.create 4096 in
+      let rec replies acc =
+        if List.length (List.filter (String.equal "") acc) >= 5 then
+          List.rev (List.filter (fun l -> l <> "") acc)
+        else
+          match Unix.select [ fd ] [] [] 5. with
+          | [], _, _ -> Alcotest.fail "timed out waiting for replies"
+          | _ -> (
+              match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> Alcotest.fail "connection closed mid-frame"
+              | n ->
+                  replies
+                    (List.fold_left
+                       (fun acc (l : Linebuf.line) -> l.Linebuf.text :: acc)
+                       acc (Linebuf.feed lb buf 0 n)))
+      in
+      let shed = ref 0 in
+      List.iteri
+        (fun i line ->
+          let k = i + 1 in
+          if contains ~sub:"err overloaded retry-after=" line then incr shed
+          else
+            Alcotest.(check bool)
+              (Printf.sprintf "frame %d answers eps=0.0%d" k k)
+              true
+              (contains ~sub:(Printf.sprintf "eps-charged=0.0%d " k) line))
+        (replies []);
+      Alcotest.(check bool) "some lines shed" true (!shed > 0);
+      Alcotest.(check bool) "queued lines answered without idle waits" true
+        (Unix.gettimeofday () -. t0 < 2.);
+      Unix.close fd)
+
 (* ------------------------------------------------------------------ *)
 (* Timeouts *)
 
@@ -538,6 +589,8 @@ let () =
           Alcotest.test_case "shed is budget-independent" `Quick
             shedding_budget_independent;
           Alcotest.test_case "inflight shedding" `Quick inflight_shedding;
+          Alcotest.test_case "shed keeps reply order" `Quick
+            shed_keeps_reply_order;
         ] );
       ( "timeouts",
         [
