@@ -316,214 +316,304 @@ let lease_reject_reason = function
   | Budget_exceeded _ -> "budget-exceeded"
   | _ -> "lease-unavailable"
 
-let submit_serving t sv ?analyst ?epsilon ~dataset query =
-  (
-      let ds = sv.dataset in
-      let eps =
-        match epsilon with Some e -> e | None -> ds.policy.default_epsilon
+let journal_unavailable =
+  Fatal "journal unavailable: refusing fresh releases, serving cache hits only"
+
+(* Every refusal before a charge is one rejected decision, logged with
+   the mechanism and face once the request got far enough to know
+   them. *)
+let refuse t sv ?analyst ?mechanism ?(requested = zero) ~dataset ~query
+    reason err =
+  sv.rejected <- sv.rejected + 1;
+  ignore
+    (log_decision t ?analyst ?mechanism ~dataset ~query ~requested
+       ~charged:zero ~cache_hit:false ~verdict:(Audit_log.Rejected reason) ());
+  Error err
+
+(* The gate in front of every fresh release, before it is planned: a
+   poisoned journal refuses outright, a dataset below its low-water
+   mark softly. *)
+let admit t sv ~analyst ~dataset ~query =
+  if t.journal_failed then Error journal_unavailable
+  else if degraded_for t sv then
+    refuse t sv ?analyst ~dataset ~query "degraded"
+      (Degraded
+         {
+           dataset;
+           remaining = Ledger.remaining sv.ledger;
+           low_water = sv.dataset.Registry.policy.low_water;
+         })
+  else Ok ()
+
+(* ------------------------------------------------------------------ *)
+(* Commit: how a durable batch becomes visible. The live path commits
+   a batch once it is fsynced; recovery commits the journal's records
+   in order. Both go through [apply] and [settle], so a recovered
+   engine holds exactly what the live one did. *)
+
+(* One record's effect on serving state. Raises [Invalid_argument] on
+   a record the state cannot take, which recovery turns into a refused
+   journal. *)
+let apply sv = function
+  | Journal.Cache_insert k ->
+      Cache.store sv.cache k.Journal.key
+        {
+          Cache.answer = k.Journal.answer;
+          mechanism = k.Journal.mechanism;
+          requested = k.Journal.requested;
+        }
+  | Journal.Train m -> Model_store.add sv.models m
+  | Journal.Stream_open o -> (
+      let params =
+        {
+          Stream.epsilon = o.Journal.epsilon;
+          horizon = o.Journal.horizon;
+          window = o.Journal.window;
+        }
       in
-      let norm = Query.normalize query in
-      (* Cache before planning: a hit replays the stored release without
-         touching the raw data (planning reads a column or its synopsis,
-         whose first use sorts the column), and without consulting the
-         ledger — post-processing is free even after the budget is
-         exhausted, and still served in degraded mode. *)
-      let key = Printf.sprintf "%s|eps=%.12g|%s" ds.name eps norm in
-      let cached =
-        if ds.policy.cache then begin
-          let c0 = Dp_obs.Clock.now_ns () in
-          let hit = Cache.lookup sv.cache key in
-          Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Cache_lookup_ns
-            (Dp_obs.Clock.elapsed_ns c0);
-          hit
-        end
-        else None
-      in
-      match cached with
-      | Some entry ->
-          let seq =
-            log_decision t ?analyst
-              ~mechanism:(Planner.mechanism_name entry.Cache.mechanism)
-              ~dataset ~query:norm ~requested:entry.Cache.requested
-              ~charged:zero ~cache_hit:true ~verdict:Audit_log.Cached ()
-          in
-          Ok
+      match Stream.spec params with
+      | Error msg -> invalid_arg msg
+      | Ok spec ->
+          Stream_store.add sv.streams
             {
-              answer = entry.Cache.answer;
-              mechanism = entry.Cache.mechanism;
-              requested = entry.Cache.requested;
-              charged = zero;
-              cache_hit = true;
-              seq;
+              Stream_store.handle = o.Journal.handle;
+              dataset = o.Journal.dataset;
+              spec;
+              counter =
+                Counter.create ~epsilon:o.Journal.epsilon
+                  ~horizon:o.Journal.horizon;
+              reads = 0;
+            })
+  | Journal.Stream_append a -> (
+      (* the journaled noisy node values are committed verbatim, with
+         zero PRNG draws, so a replayed tree releases bit-identical
+         counts *)
+      match Stream_store.find sv.streams a.Journal.handle with
+      | None ->
+          invalid_arg
+            (Printf.sprintf "append to unknown stream %S" a.Journal.handle)
+      | Some s ->
+          Counter.commit s.Stream_store.counter ~bit:a.Journal.bit
+            a.Journal.nodes;
+          Stream_store.record_append sv.streams)
+  | Journal.Register _ | Journal.Charge _ | Journal.Withheld _ -> ()
+
+(* A charge's outcome: the serving counters and its audit verdict,
+   withheld when its batch carries a [Withheld] marker. Returns the
+   audit seq. *)
+let settle t sv (c : Journal.charge_record) withheld =
+  let verdict =
+    match withheld with
+    | None ->
+        sv.answered <- sv.answered + 1;
+        Audit_log.Answered
+    | Some reason ->
+        sv.rejected <- sv.rejected + 1;
+        sv.withheld <- sv.withheld + 1;
+        Audit_log.Charged_unreleased reason
+  in
+  log_decision t ?analyst:c.Journal.analyst ~mechanism:c.Journal.mechanism
+    ~dataset:c.Journal.dataset ~query:c.Journal.query
+    ~requested:c.Journal.face ~charged:c.Journal.marginal ~cache_hit:false
+    ~verdict ()
+
+(* Every batch puts a [Withheld] marker right after its charge, so
+   pairing by adjacency gives recovery the live outcome. An unpaired
+   marker carries nothing and is dropped. *)
+let rec pair_outcomes = function
+  | (Journal.Charge c as r) :: Journal.Withheld { dataset; reason } :: rest
+    when dataset = c.Journal.dataset ->
+      (r, Some reason) :: pair_outcomes rest
+  | r :: rest -> (r, None) :: pair_outcomes rest
+  | [] -> []
+
+(* Commit one durable batch of [sv]; returns its charge's audit seq. *)
+let commit t sv batch =
+  List.fold_left
+    (fun seq (r, withheld) ->
+      match r with
+      | Journal.Charge c -> settle t sv c withheld
+      | r ->
+          apply sv r;
+          seq)
+    (-1) (pair_outcomes batch)
+
+(* ------------------------------------------------------------------ *)
+(* The release path *)
+
+(* What a fresh release supplies: its normal form (the audit and
+   journal label), its mechanism and charge, its draw, and the records
+   the draw's result journals beside the charge. [run] is the draw
+   itself — a planner's closure, the training chains — never a wrapper
+   built around it: [release] is the one place that applies it, after
+   the spend, and that is where flow F2 checks charge-before-release
+   for every face. *)
+type 'a face = {
+  query : string;
+  mechanism : string;
+  charge : Ledger.charge;
+  run : Dp_rng.Prng.t -> 'a;
+  records : 'a -> Journal.record list;
+}
+
+(* Lease, spend, draw, one journal batch, crash point, commit — in that
+   order for every face. The charge and the draw's records become
+   durable together before anything the draw made is visible, so a
+   crash at any point can only over-count spent ε. A draw or batch that
+   fails withholds: the ledger keeps the charge, the journal (best
+   effort) the charge with its outcome marker, and nothing is released.
+   Returns the draw, the marginal charge and the audit seq. *)
+let release t sv ?analyst ~dataset (f : _ face) =
+  let face = f.charge.Ledger.budget in
+  let refuse_charge reason err =
+    refuse t sv ?analyst ~mechanism:f.mechanism ~requested:face ~dataset
+      ~query:f.query reason err
+  in
+  match lease_check t ~dataset face with
+  | Error e -> refuse_charge (lease_reject_reason e) e
+  | Ok () -> (
+      let before = Ledger.spent sv.ledger in
+      let c0 = Dp_obs.Clock.now_ns () in
+      let h = Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0 in
+      let spent = Ledger.spend sv.ledger ?analyst f.charge in
+      end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
+      match spent with
+      | Error rejection ->
+          refuse_charge "budget-exceeded" (Budget_exceeded rejection)
+      | Ok () -> (
+          let after = Ledger.spent sv.ledger in
+          let c =
+            {
+              Journal.dataset;
+              analyst;
+              query = f.query;
+              mechanism = f.mechanism;
+              face;
+              marginal =
+                {
+                  Privacy.epsilon =
+                    Float.max 0.
+                      (after.Privacy.epsilon -. before.Privacy.epsilon);
+                  delta =
+                    Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
+                };
+              rho = Ledger.rho_of_charge f.charge;
             }
-      | None when t.journal_failed ->
-          Error
-            (Fatal
-               "journal unavailable: refusing fresh releases, serving cache \
-                hits only")
-      | None when degraded_for t sv ->
-          sv.rejected <- sv.rejected + 1;
-          ignore
-            (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-               ~charged:zero ~cache_hit:false
-               ~verdict:(Audit_log.Rejected "degraded") ());
-          Error
-            (Degraded
-               {
-                 dataset;
-                 remaining = Ledger.remaining sv.ledger;
-                 low_water = ds.policy.low_water;
-               })
-      | None -> (
+          in
+          let n0 = Dp_obs.Clock.now_ns () in
+          let h =
+            Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_noise n0
+          in
+          let drawn =
+            Faults.with_retries ~jitter:t.retry_rng (fun ~attempt ->
+                Faults.check t.faults ~attempt Faults.Rng;
+                f.run t.rng)
+          in
+          end_phase t sv.scope h Dp_obs.Name.Noise_ns n0;
+          let withhold reason err =
+            let batch =
+              [ Journal.Charge c; Journal.Withheld { dataset; reason } ]
+            in
+            ignore (journal_append t batch);
+            ignore (commit t sv batch);
+            Error err
+          in
+          match drawn with
+          | Error msg -> withhold "rng" (Transient ("rng exhausted: " ^ msg))
+          | Ok v -> (
+              let batch = Journal.Charge c :: f.records v in
+              match journal_append t batch with
+              | Error e -> withhold "journal" e
+              | Ok () ->
+                  Faults.check t.faults Faults.Crash_after_charge;
+                  let seq = commit t sv batch in
+                  Ok (v, c.Journal.marginal, seq))))
+
+let submit_serving t sv ?analyst ?epsilon ~dataset query =
+  let ds = sv.dataset in
+  let eps =
+    match epsilon with Some e -> e | None -> ds.policy.default_epsilon
+  in
+  let norm = Query.normalize query in
+  (* Cache before planning: a hit replays the stored release without
+     touching the raw data (planning reads a column or its synopsis,
+     whose first use sorts the column), and without consulting the
+     ledger — post-processing is free even after the budget is
+     exhausted, and still served in degraded mode. *)
+  let key = Printf.sprintf "%s|eps=%.12g|%s" ds.name eps norm in
+  let cached =
+    if ds.policy.cache then begin
+      let c0 = Dp_obs.Clock.now_ns () in
+      let hit = Cache.lookup sv.cache key in
+      Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Cache_lookup_ns
+        (Dp_obs.Clock.elapsed_ns c0);
+      hit
+    end
+    else None
+  in
+  match cached with
+  | Some entry ->
+      let seq =
+        log_decision t ?analyst
+          ~mechanism:(Planner.mechanism_name entry.Cache.mechanism)
+          ~dataset ~query:norm ~requested:entry.Cache.requested ~charged:zero
+          ~cache_hit:true ~verdict:Audit_log.Cached ()
+      in
+      Ok
+        {
+          answer = entry.Cache.answer;
+          mechanism = entry.Cache.mechanism;
+          requested = entry.Cache.requested;
+          charged = zero;
+          cache_hit = true;
+          seq;
+        }
+  | None -> (
+      match admit t sv ~analyst ~dataset ~query:norm with
+      | Error e -> Error e
+      | Ok () -> (
           let p0 = Dp_obs.Clock.now_ns () in
-          let h = Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_plan p0 in
+          let h =
+            Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_plan p0
+          in
           let planned = Planner.plan ds ~epsilon:eps query in
           end_phase t sv.scope h Dp_obs.Name.Plan_ns p0;
           match planned with
           | Error msg ->
-              ignore
-                (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-                   ~charged:zero ~cache_hit:false
-                   ~verdict:(Audit_log.Rejected msg) ());
-              Error (Bad_query msg)
+              refuse t sv ?analyst ~dataset ~query:norm msg (Bad_query msg)
           | Ok plan -> (
               let sp = plan.Planner.spec in
-              match lease_check t ~dataset sp.Planner.charge.Ledger.budget with
-              | Error e ->
-                  sv.rejected <- sv.rejected + 1;
-                  ignore
-                    (log_decision t ?analyst
-                       ~mechanism:(Planner.mechanism_name sp.Planner.mechanism)
-                       ~dataset ~query:norm
-                       ~requested:sp.Planner.charge.Ledger.budget ~charged:zero
-                       ~cache_hit:false
-                       ~verdict:(Audit_log.Rejected (lease_reject_reason e)) ());
-                  Error e
-              | Ok () -> (
-              let before = Ledger.spent sv.ledger in
-              let c0 = Dp_obs.Clock.now_ns () in
-              let h =
-                Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0
+              let mechanism = sp.Planner.mechanism in
+              let requested = sp.Planner.charge.Ledger.budget in
+              let records answer =
+                if ds.policy.cache then
+                  [
+                    Journal.Cache_insert
+                      { Journal.dataset; key; answer; mechanism; requested };
+                  ]
+                else []
               in
-              let charge_result =
-                Ledger.spend sv.ledger ?analyst sp.Planner.charge
-              in
-              end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
-              match charge_result with
-              | Error rejection ->
-                  sv.rejected <- sv.rejected + 1;
-                  ignore
-                    (log_decision t ?analyst
-                       ~mechanism:(Planner.mechanism_name sp.Planner.mechanism)
-                       ~dataset ~query:norm
-                       ~requested:sp.Planner.charge.Ledger.budget ~charged:zero
-                       ~cache_hit:false
-                       ~verdict:(Audit_log.Rejected "budget-exceeded") ());
-                  Error (Budget_exceeded rejection)
-              | Ok () -> (
-                  let after = Ledger.spent sv.ledger in
-                  let face = sp.Planner.charge.Ledger.budget in
-                  let mech_name = Planner.mechanism_name sp.Planner.mechanism in
-                  let charged =
+              match
+                release t sv ?analyst ~dataset
+                  {
+                    query = norm;
+                    mechanism = Planner.mechanism_name mechanism;
+                    charge = sp.Planner.charge;
+                    run = plan.Planner.run;
+                    records;
+                  }
+              with
+              | Error e -> Error e
+              | Ok (answer, charged, seq) ->
+                  Ok
                     {
-                      Privacy.epsilon =
-                        Float.max 0.
-                          (after.Privacy.epsilon -. before.Privacy.epsilon);
-                      delta =
-                        Float.max 0. (after.Privacy.delta -. before.Privacy.delta);
-                    }
-                  in
-                  let charge =
-                    Journal.Charge
-                      {
-                        Journal.dataset;
-                        analyst;
-                        query = norm;
-                        mechanism = mech_name;
-                        face;
-                        marginal = charged;
-                        rho = Ledger.rho_of_charge sp.Planner.charge;
-                      }
-                  in
-                  let withhold reason err =
-                    (* the ledger is already charged and no answer leaves
-                       the engine; the audit log records the spend, and
-                       the journal (when durable) the charge with its
-                       outcome marker. If even that batch fails, only the
-                       live ledger keeps the charge: it over-counts, and
-                       nothing was released *)
-                    sv.rejected <- sv.rejected + 1;
-                    sv.withheld <- sv.withheld + 1;
-                    ignore
-                      (log_decision t ?analyst ~mechanism:mech_name ~dataset
-                         ~query:norm ~requested:face ~charged ~cache_hit:false
-                         ~verdict:(Audit_log.Charged_unreleased reason) ());
-                    ignore
-                      (journal_append t
-                         [ charge; Journal.Withheld { dataset; reason } ]);
-                    Error err
-                  in
-                  let n0 = Dp_obs.Clock.now_ns () in
-                  let h =
-                    Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_noise
-                      n0
-                  in
-                  let drawn =
-                    Faults.with_retries ~jitter:t.retry_rng (fun ~attempt ->
-                        Faults.check t.faults ~attempt Faults.Rng;
-                        plan.Planner.run t.rng)
-                  in
-                  end_phase t sv.scope h Dp_obs.Name.Noise_ns n0;
-                  match drawn with
-                  | Error msg ->
-                      withhold "rng" (Transient ("rng exhausted: " ^ msg))
-                  | Ok answer -> (
-                      (* charge-before-answer: the charge and the
-                         answer's cache record become durable together,
-                         in one batch, before the answer leaves the
-                         engine, so a crash from here on can only
-                         over-count spent epsilon *)
-                      let batch =
-                        if ds.policy.cache then
-                          [
-                            charge;
-                            Journal.Cache_insert
-                              {
-                                Journal.dataset;
-                                key;
-                                answer;
-                                mechanism = sp.Planner.mechanism;
-                                requested = face;
-                              };
-                          ]
-                        else [ charge ]
-                      in
-                      match journal_append t batch with
-                      | Error e -> withhold "journal" e
-                      | Ok () ->
-                          Faults.check t.faults Faults.Crash_after_charge;
-                          if ds.policy.cache then
-                            Cache.store sv.cache key
-                              {
-                                Cache.answer;
-                                mechanism = sp.Planner.mechanism;
-                                requested = face;
-                              };
-                          sv.answered <- sv.answered + 1;
-                          let seq =
-                            log_decision t ?analyst ~mechanism:mech_name
-                              ~dataset ~query:norm ~requested:face ~charged
-                              ~cache_hit:false ~verdict:Audit_log.Answered ()
-                          in
-                          Ok
-                            {
-                              answer;
-                              mechanism = sp.Planner.mechanism;
-                              requested = face;
-                              charged;
-                              cache_hit = false;
-                              seq;
-                            }))))))
+                      answer;
+                      mechanism;
+                      requested;
+                      charged;
+                      cache_hit = false;
+                      seq;
+                    })))
 
 (* The span/latency wrapper lives outside [submit_serving] so that every
    exit path — cache hit, rejection, withheld answer, even an injected
@@ -639,222 +729,111 @@ type trained = {
   seq : int;
 }
 
-let train_journal_record (m : Model_store.model) =
-  Journal.Train
-    {
-      Journal.dataset = m.Model_store.dataset;
-      handle = m.Model_store.handle;
-      backend = m.Model_store.backend;
-      epsilon = m.Model_store.epsilon;
-      chains = m.Model_store.chains;
-      steps = m.Model_store.steps;
-      beta = m.Model_store.beta;
-      face = m.Model_store.face;
-      target = m.Model_store.target;
-      features = m.Model_store.features;
-      theta = m.Model_store.theta;
-      rhat = m.Model_store.rhat;
-      ess = m.Model_store.ess;
-      acceptance = m.Model_store.acceptance;
-    }
-
 let train_serving t (sv : serving) ?analyst ~dataset (params : Train.params) =
   let ds = sv.dataset in
   let norm = Train.normalize params in
-  let reject verdict err =
-    sv.rejected <- sv.rejected + 1;
-    ignore
-      (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-         ~charged:zero ~cache_hit:false ~verdict ());
-    Error err
-  in
-  if t.journal_failed then
-    Error
-      (Fatal
-         "journal unavailable: refusing fresh releases, serving cache hits \
-          only")
-  else if degraded_for t sv then
-    reject (Audit_log.Rejected "degraded")
-      (Degraded
-         {
-           dataset;
-           remaining = Ledger.remaining sv.ledger;
-           low_water = ds.Registry.policy.low_water;
-         })
-  else
-    let cols =
-      Array.to_list
-        (Array.map (fun (c : Registry.column) -> c.Registry.name) ds.columns)
-    in
-    match Train.spec ~rows:ds.Registry.rows ~cols params with
-    | Error msg -> reject (Audit_log.Rejected msg) (Bad_query msg)
-    | Ok spec -> (
-        let columns =
-          Array.map
-            (fun (c : Registry.column) ->
-              (c.Registry.name, c.Registry.lo, c.Registry.hi, c.Registry.values))
-            ds.columns
-        in
-        match Train.design ~columns ~target:params.Train.target with
-        | Error msg -> reject (Audit_log.Rejected msg) (Bad_query msg)
-        | Ok design -> (
-            let mech_name = Train.backend_name params.Train.backend in
-            let face = spec.Train.face in
-            let charge = { Ledger.budget = face; rdp = None } in
-            match lease_check t ~dataset face with
-            | Error e ->
-                reject (Audit_log.Rejected (lease_reject_reason e)) e
-            | Ok () -> (
-            let before = Ledger.spent sv.ledger in
-            let c0 = Dp_obs.Clock.now_ns () in
-            let h =
-              Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0
-            in
-            let charge_result = Ledger.spend sv.ledger ?analyst charge in
-            end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
-            match charge_result with
-            | Error rejection ->
-                sv.rejected <- sv.rejected + 1;
-                ignore
-                  (log_decision t ?analyst ~mechanism:mech_name ~dataset
-                     ~query:norm ~requested:face ~charged:zero ~cache_hit:false
-                     ~verdict:(Audit_log.Rejected "budget-exceeded") ());
-                Error (Budget_exceeded rejection)
-            | Ok () -> (
-                let after = Ledger.spent sv.ledger in
-                let charged =
+  match admit t sv ~analyst ~dataset ~query:norm with
+  | Error e -> Error e
+  | Ok () -> (
+      let cols =
+        Array.to_list
+          (Array.map (fun (c : Registry.column) -> c.Registry.name) ds.columns)
+      in
+      match Train.spec ~rows:ds.Registry.rows ~cols params with
+      | Error msg ->
+          refuse t sv ?analyst ~dataset ~query:norm msg (Bad_query msg)
+      | Ok spec -> (
+          let columns =
+            Array.map
+              (fun (c : Registry.column) ->
+                ( c.Registry.name,
+                  c.Registry.lo,
+                  c.Registry.hi,
+                  c.Registry.values ))
+              ds.columns
+          in
+          match Train.design ~columns ~target:params.Train.target with
+          | Error msg ->
+              refuse t sv ?analyst ~dataset ~query:norm msg (Bad_query msg)
+          | Ok design -> (
+              let mechanism = Train.backend_name params.Train.backend in
+              let handle =
+                Printf.sprintf "%s/m%d" dataset (Model_store.size sv.models + 1)
+              in
+              let gate_hook check =
+                let g0 = Dp_obs.Clock.now_ns () in
+                let h =
+                  Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_gate g0
+                in
+                let report = check () in
+                end_phase t sv.scope h Dp_obs.Name.Gate_ns g0;
+                report
+              in
+              let model_frame ~theta ~acceptance (report : Gates.report) =
+                Journal.Train
                   {
-                    Privacy.epsilon =
-                      Float.max 0.
-                        (after.Privacy.epsilon -. before.Privacy.epsilon);
-                    delta =
-                      Float.max 0.
-                        (after.Privacy.delta -. before.Privacy.delta);
+                    Model_store.handle;
+                    dataset;
+                    backend = mechanism;
+                    epsilon = params.Train.epsilon;
+                    chains = params.Train.chains;
+                    steps = params.Train.steps;
+                    beta = spec.Train.beta;
+                    face = spec.Train.face;
+                    target = params.Train.target;
+                    features = Train.public_facts design;
+                    theta;
+                    rhat =
+                      Array.map
+                        (fun (c : Gates.coord) -> c.Gates.rhat)
+                        report.Gates.coords;
+                    ess =
+                      Array.map
+                        (fun (c : Gates.coord) -> c.Gates.ess)
+                        report.Gates.coords;
+                    acceptance;
                   }
-                in
-                let withhold reason err =
-                  sv.rejected <- sv.rejected + 1;
-                  sv.withheld <- sv.withheld + 1;
-                  ignore
-                    (log_decision t ?analyst ~mechanism:mech_name ~dataset
-                       ~query:norm ~requested:face ~charged ~cache_hit:false
-                       ~verdict:(Audit_log.Charged_unreleased reason) ());
-                  ignore
-                    (journal_append t [ Journal.Withheld { dataset; reason } ]);
-                  Error err
-                in
-                (* charge-before-train: the ledger spend must be durable
-                   before any chain touches the data, so a crash mid-chain
-                   can only over-count spent epsilon *)
-                match
-                  journal_append t
+              in
+              (* the handle exists iff its frame is durable; an
+                 unconverged model keeps its slot, θ-less, and its
+                 charge stands — never a refund, never a biased sample *)
+              let records = function
+                | Train.Released { theta; report; acceptance } ->
+                    [ model_frame ~theta:(Some theta) ~acceptance report ]
+                | Train.Withheld { report; acceptance } ->
                     [
-                      Journal.Charge
-                        {
-                          Journal.dataset;
-                          analyst;
-                          query = norm;
-                          mechanism = mech_name;
-                          face;
-                          marginal = charged;
-                          rho = Ledger.rho_of_charge charge;
-                        };
+                      Journal.Withheld { dataset; reason = "unconverged" };
+                      model_frame ~theta:None ~acceptance report;
                     ]
-                with
-                | Error e -> withhold "journal" e
-                | Ok () -> (
-                    Faults.check t.faults Faults.Crash_after_charge;
-                    let gate_hook check =
-                      let g0 = Dp_obs.Clock.now_ns () in
-                      let h =
-                        Dp_obs.Span.begin_at t.trace ~dataset
-                          Dp_obs.Name.Sp_gate g0
-                      in
-                      let report = check () in
-                      end_phase t sv.scope h Dp_obs.Name.Gate_ns g0;
-                      report
-                    in
-                    let outcome =
-                      Dp_obs.Span.with_ t.trace ~dataset Dp_obs.Name.Sp_train
-                        (fun () -> Train.run ~gate_hook spec design t.rng)
-                    in
-                    let handle =
-                      Printf.sprintf "%s/m%d" dataset
-                        (Model_store.size sv.models + 1)
-                    in
-                    let model_of ~theta ~acceptance (report : Gates.report) =
-                      {
-                        Model_store.handle;
-                        dataset;
-                        backend = mech_name;
-                        epsilon = params.Train.epsilon;
-                        chains = params.Train.chains;
-                        steps = params.Train.steps;
-                        beta = spec.Train.beta;
-                        face;
-                        target = params.Train.target;
-                        features = Train.public_facts design;
-                        theta;
-                        rhat =
-                          Array.map
-                            (fun (c : Gates.coord) -> c.Gates.rhat)
-                            report.Gates.coords;
-                        ess =
-                          Array.map
-                            (fun (c : Gates.coord) -> c.Gates.ess)
-                            report.Gates.coords;
-                        acceptance;
-                      }
-                    in
-                    match outcome with
-                    | Train.Released { theta; report; acceptance } -> (
-                        let m = model_of ~theta:(Some theta) ~acceptance report in
-                        (* the handle exists iff its frame is durable: a
-                           model that cannot be journaled is withheld,
-                           never released from memory alone *)
-                        match journal_append t [ train_journal_record m ] with
-                        | Error e -> withhold "journal" e
-                        | Ok () ->
-                            Model_store.add sv.models m;
-                            sv.answered <- sv.answered + 1;
-                            let seq =
-                              log_decision t ?analyst ~mechanism:mech_name
-                                ~dataset ~query:norm ~requested:face ~charged
-                                ~cache_hit:false ~verdict:Audit_log.Answered ()
-                            in
-                            Ok { model = m; charged; seq })
-                    | Train.Withheld { report; acceptance } -> (
-                        let m = model_of ~theta:None ~acceptance report in
-                        let unconverged =
-                          Unconverged
-                            {
-                              dataset;
-                              handle;
-                              worst_rhat = Gates.worst_rhat report;
-                              min_ess = Gates.min_ess report;
-                              charged;
-                            }
-                        in
-                        (* outcome marker first (pairs with the charge),
-                           then the durable withheld handle; the charge
-                           stands either way — never a refund, never a
-                           biased sample *)
-                        ignore
-                          (journal_append t
-                             [ Journal.Withheld { dataset; reason = "unconverged" } ]);
-                        sv.rejected <- sv.rejected + 1;
-                        sv.withheld <- sv.withheld + 1;
-                        ignore
-                          (log_decision t ?analyst ~mechanism:mech_name
-                             ~dataset ~query:norm ~requested:face ~charged
-                             ~cache_hit:false
-                             ~verdict:(Audit_log.Charged_unreleased "unconverged")
-                             ());
-                        match journal_append t [ train_journal_record m ] with
-                        | Error e -> Error e
-                        | Ok () ->
-                            Model_store.add sv.models m;
-                            Error unconverged))))))
+              in
+              match
+                release t sv ?analyst ~dataset
+                  {
+                    query = norm;
+                    mechanism;
+                    charge = { Ledger.budget = spec.Train.face; rdp = None };
+                    run = Train.run ~gate_hook spec design;
+                    records;
+                  }
+              with
+              | Error e -> Error e
+              | Ok (Train.Released _, charged, seq) ->
+                  Ok
+                    {
+                      model = Option.get (Model_store.find sv.models handle);
+                      charged;
+                      seq;
+                    }
+              | Ok (Train.Withheld { report; _ }, charged, _) ->
+                  Error
+                    (Unconverged
+                       {
+                         dataset;
+                         handle;
+                         worst_rhat = Gates.worst_rhat report;
+                         min_ess = Gates.min_ess report;
+                         charged;
+                       }))))
 
 let train t ?analyst ~dataset params =
   match Hashtbl.find_opt t.servings dataset with
@@ -941,140 +920,49 @@ let stream_open t ?analyst ~dataset (params : Stream.params) =
   match Hashtbl.find_opt t.servings dataset with
   | None -> Error (Unknown_dataset dataset)
   | Some sv -> (
-      let ds = sv.dataset in
       let norm = Stream.normalize params in
-      let reject verdict err =
-        sv.rejected <- sv.rejected + 1;
-        ignore
-          (log_decision t ?analyst ~dataset ~query:norm ~requested:zero
-             ~charged:zero ~cache_hit:false ~verdict ());
-        Error err
-      in
-      if t.journal_failed then
-        Error
-          (Fatal
-             "journal unavailable: refusing fresh releases, serving cache \
-              hits only")
-      else if degraded_for t sv then
-        reject (Audit_log.Rejected "degraded")
-          (Degraded
-             {
-               dataset;
-               remaining = Ledger.remaining sv.ledger;
-               low_water = ds.Registry.policy.low_water;
-             })
-      else
-        match Stream.spec params with
-        | Error msg -> reject (Audit_log.Rejected msg) (Bad_query msg)
-        | Ok spec -> (
-            let face = spec.Stream.face in
-            let charge = { Ledger.budget = face; rdp = None } in
-            match lease_check t ~dataset face with
-            | Error e ->
-                reject (Audit_log.Rejected (lease_reject_reason e)) e
-            | Ok () -> (
-            let before = Ledger.spent sv.ledger in
-            let c0 = Dp_obs.Clock.now_ns () in
-            let h =
-              Dp_obs.Span.begin_at t.trace ~dataset Dp_obs.Name.Sp_charge c0
-            in
-            let charge_result = Ledger.spend sv.ledger ?analyst charge in
-            end_phase t sv.scope h Dp_obs.Name.Charge_ns c0;
-            match charge_result with
-            | Error rejection ->
-                sv.rejected <- sv.rejected + 1;
-                ignore
-                  (log_decision t ?analyst ~mechanism:Stream.mechanism_name
-                     ~dataset ~query:norm ~requested:face ~charged:zero
-                     ~cache_hit:false
-                     ~verdict:(Audit_log.Rejected "budget-exceeded") ());
-                Error (Budget_exceeded rejection)
-            | Ok () -> (
-                let after = Ledger.spent sv.ledger in
-                let charged =
+      match admit t sv ~analyst ~dataset ~query:norm with
+      | Error e -> Error e
+      | Ok () -> (
+          match Stream.spec params with
+          | Error msg ->
+              refuse t sv ?analyst ~dataset ~query:norm msg (Bad_query msg)
+          | Ok spec -> (
+              let handle =
+                Printf.sprintf "%s/s%d" dataset
+                  (Stream_store.size sv.streams + 1)
+              in
+              (* the open draws nothing: it prepays the whole lifetime,
+                 and the handle exists iff its frame is durable, like
+                 model handles *)
+              let opened =
+                Journal.Stream_open
                   {
-                    Privacy.epsilon =
-                      Float.max 0.
-                        (after.Privacy.epsilon -. before.Privacy.epsilon);
-                    delta =
-                      Float.max 0.
-                        (after.Privacy.delta -. before.Privacy.delta);
+                    Journal.dataset;
+                    handle;
+                    epsilon = params.Stream.epsilon;
+                    horizon = params.Stream.horizon;
+                    window = params.Stream.window;
                   }
-                in
-                let withhold reason err =
-                  sv.rejected <- sv.rejected + 1;
-                  sv.withheld <- sv.withheld + 1;
-                  ignore
-                    (log_decision t ?analyst ~mechanism:Stream.mechanism_name
-                       ~dataset ~query:norm ~requested:face ~charged
-                       ~cache_hit:false
-                       ~verdict:(Audit_log.Charged_unreleased reason) ());
-                  ignore
-                    (journal_append t [ Journal.Withheld { dataset; reason } ]);
-                  Error err
-                in
-                (* charge-before-open: the whole-lifetime face must be
-                   durable before the handle exists, so a crash here can
-                   only over-count spent epsilon *)
-                match
-                  journal_append t
-                    [
-                      Journal.Charge
-                        {
-                          Journal.dataset;
-                          analyst;
-                          query = norm;
-                          mechanism = Stream.mechanism_name;
-                          face;
-                          marginal = charged;
-                          rho = Ledger.rho_of_charge charge;
-                        };
-                    ]
-                with
-                | Error e -> withhold "journal" e
-                | Ok () -> (
-                    Faults.check t.faults Faults.Crash_after_charge;
-                    let handle =
-                      Printf.sprintf "%s/s%d" dataset
-                        (Stream_store.size sv.streams + 1)
-                    in
-                    (* the handle exists iff its frame is durable, like
-                       model handles *)
-                    match
-                      journal_append t
-                        [
-                          Journal.Stream_open
-                            {
-                              Journal.dataset;
-                              handle;
-                              epsilon = params.Stream.epsilon;
-                              horizon = params.Stream.horizon;
-                              window = params.Stream.window;
-                            };
-                        ]
-                    with
-                    | Error e -> withhold "journal" e
-                    | Ok () ->
-                        let stream =
-                          {
-                            Stream_store.handle;
-                            dataset;
-                            spec;
-                            counter =
-                              Counter.create ~epsilon:params.Stream.epsilon
-                                ~horizon:params.Stream.horizon;
-                            reads = 0;
-                          }
-                        in
-                        Stream_store.add sv.streams stream;
-                        sv.answered <- sv.answered + 1;
-                        let seq =
-                          log_decision t ?analyst
-                            ~mechanism:Stream.mechanism_name ~dataset
-                            ~query:norm ~requested:face ~charged
-                            ~cache_hit:false ~verdict:Audit_log.Answered ()
-                        in
-                        Ok { stream; charged; seq })))))
+              in
+              match
+                release t sv ?analyst ~dataset
+                  {
+                    query = norm;
+                    mechanism = Stream.mechanism_name;
+                    charge = { Ledger.budget = spec.Stream.face; rdp = None };
+                    run = ignore;
+                    records = (fun () -> [ opened ]);
+                  }
+              with
+              | Error e -> Error e
+              | Ok ((), charged, seq) ->
+                  Ok
+                    {
+                      stream = Option.get (Stream_store.find sv.streams handle);
+                      charged;
+                      seq;
+                    })))
 
 let find_stream t handle =
   match serving_of_handle t handle with
@@ -1087,10 +975,10 @@ let streams t ~dataset =
   | Some sv -> Ok sv.streams
 
 (* Appends are pre-paid (the open charged the whole lifetime), so they
-   are served even in low-water degraded mode — like cache hits, they
-   consume no fresh budget. They do need durability: without a working
-   journal the closing nodes' noise could be lost after a later read
-   released it, so a failed journal refuses appends outright. *)
+   charge nothing and skip [release]; like cache hits they are served
+   even in low-water degraded mode. They do need durability: without a
+   working journal the closing nodes' noise could be lost after a later
+   read released it, so a failed journal refuses appends outright. *)
 let append t handle bit =
   match serving_of_handle t handle with
   | None -> Error (Unknown_stream handle)
@@ -1099,11 +987,7 @@ let append t handle bit =
       | None -> Error (Unknown_stream handle)
       | Some s ->
           let a0 = Dp_obs.Clock.now_ns () in
-          if t.journal_failed then
-            Error
-              (Fatal
-                 "journal unavailable: refusing fresh releases, serving \
-                  cache hits only")
+          if t.journal_failed then Error journal_unavailable
           else if bit <> 0 && bit <> 1 then
             Error (Bad_query "append expects 0 or 1")
           else if Counter.t_now s.Stream_store.counter
@@ -1122,20 +1006,17 @@ let append t handle bit =
                   Counter.prepare c ~bit ~noise:(fun () ->
                       Dp_rng.Sampler.laplace ~mean:0. ~scale t.stream_rng))
             in
+            let record =
+              Journal.Stream_append
+                { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes }
+            in
             (* noise-before-release, durably: the frame carrying the
                noisy node values is fsynced before the tree mutates *)
-            match
-              journal_append t
-                [
-                  Journal.Stream_append
-                    { Journal.dataset = s.Stream_store.dataset; handle; bit; nodes };
-                ]
-            with
+            match journal_append t [ record ] with
             | Error e -> Error e
             | Ok () ->
                 Faults.check t.faults Faults.Crash_after_charge;
-                Counter.commit c ~bit nodes;
-                Stream_store.record_append sv.streams;
+                apply sv record;
                 Dp_obs.Metrics.observe sv.scope Dp_obs.Name.Append_ns
                   (Dp_obs.Clock.elapsed_ns a0);
                 Ok
@@ -1218,23 +1099,18 @@ type recovery = {
 
 exception Recovery_failed of string
 
-(* A [Withheld] marker immediately follows the charge whose answer was
-   withheld live (a query journals both in one batch; a train or stream
-   open journals the marker right after its own charge), so recovered
-   stats and audit verdicts match the live run. An unpaired marker —
-   a train or stream open whose charge append failed before it —
-   carries no information and is dropped. The one remaining divergence is a genuine crash
-   between charge and answer: no marker could be written, so recovery
-   conservatively counts that charge as answered (budget-wise the two
-   outcomes are identical). *)
-let rec pair_outcomes = function
-  | (Journal.Charge c as r) :: Journal.Withheld { dataset; reason } :: rest
-    when dataset = c.Journal.dataset ->
-      (r, Some reason) :: pair_outcomes rest
-  | r :: rest -> (r, None) :: pair_outcomes rest
-  | [] -> []
-
+(* Recovery commits the journal's records through the live path's
+   [settle] and [apply]; what is left here is registration and
+   re-spending each charge on its ledger. *)
 let apply_record t (record, withheld) =
+  let serving dataset =
+    match Hashtbl.find_opt t.servings dataset with
+    | Some sv -> sv
+    | None ->
+        raise
+          (Recovery_failed
+             (Printf.sprintf "journal record on unknown dataset %S" dataset))
+  in
   match record with
   | Journal.Register { name; rows; seed; policy } -> (
       if Registry.find t.registry name <> None then
@@ -1248,143 +1124,26 @@ let apply_record t (record, withheld) =
       match register_serving t ds with
       | Ok () -> ()
       | Error msg -> raise (Recovery_failed msg))
-  | Journal.Charge c -> (
-      match Hashtbl.find_opt t.servings c.Journal.dataset with
-      | None ->
+  | Journal.Charge c ->
+      let sv = serving c.Journal.dataset in
+      (try
+         Ledger.replay_charge sv.ledger ?analyst:c.Journal.analyst
+           ~face:c.Journal.face ~rho:c.Journal.rho ()
+       with
+      | Invalid_argument msg -> raise (Recovery_failed msg)
+      | Privacy.Budget_exceeded _ ->
           raise
             (Recovery_failed
-               (Printf.sprintf "journal charges unknown dataset %S"
-                  c.Journal.dataset))
-      | Some sv ->
-          (try
-             Ledger.replay_charge sv.ledger ?analyst:c.Journal.analyst
-               ~face:c.Journal.face ~rho:c.Journal.rho ()
-           with
-          | Invalid_argument msg -> raise (Recovery_failed msg)
-          | Privacy.Budget_exceeded _ ->
-              raise
-                (Recovery_failed
-                   (Printf.sprintf
-                      "journaled charge overdraws analyst budget on %S"
-                      c.Journal.dataset)));
-          let verdict =
-            match withheld with
-            | None ->
-                sv.answered <- sv.answered + 1;
-                Audit_log.Answered
-            | Some reason ->
-                sv.rejected <- sv.rejected + 1;
-                sv.withheld <- sv.withheld + 1;
-                Audit_log.Charged_unreleased reason
-          in
-          ignore
-            (log_decision t ?analyst:c.Journal.analyst
-               ~mechanism:c.Journal.mechanism ~dataset:c.Journal.dataset
-               ~query:c.Journal.query ~requested:c.Journal.face
-               ~charged:c.Journal.marginal ~cache_hit:false ~verdict ()))
-  | Journal.Cache_insert k -> (
-      match Hashtbl.find_opt t.servings k.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal caches unknown dataset %S"
-                  k.Journal.dataset))
-      | Some sv ->
-          Cache.store sv.cache k.Journal.key
-            {
-              Cache.answer = k.Journal.answer;
-              mechanism = k.Journal.mechanism;
-              requested = k.Journal.requested;
-            })
+               (Printf.sprintf "journaled charge overdraws analyst budget on %S"
+                  c.Journal.dataset)));
+      ignore (settle t sv c withheld)
   | Journal.Withheld _ -> ()
-  | Journal.Train m -> (
-      match Hashtbl.find_opt t.servings m.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal trains unknown dataset %S"
-                  m.Journal.dataset))
-      | Some sv -> (
-          match
-            Model_store.add sv.models
-              {
-                Model_store.handle = m.Journal.handle;
-                dataset = m.Journal.dataset;
-                backend = m.Journal.backend;
-                epsilon = m.Journal.epsilon;
-                chains = m.Journal.chains;
-                steps = m.Journal.steps;
-                beta = m.Journal.beta;
-                face = m.Journal.face;
-                target = m.Journal.target;
-                features = m.Journal.features;
-                theta = m.Journal.theta;
-                rhat = m.Journal.rhat;
-                ess = m.Journal.ess;
-                acceptance = m.Journal.acceptance;
-              }
-          with
-          | () -> ()
-          | exception Invalid_argument msg -> raise (Recovery_failed msg)))
-  | Journal.Stream_open o -> (
-      match Hashtbl.find_opt t.servings o.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal opens stream on unknown dataset %S"
-                  o.Journal.dataset))
-      | Some sv -> (
-          let params =
-            {
-              Stream.epsilon = o.Journal.epsilon;
-              horizon = o.Journal.horizon;
-              window = o.Journal.window;
-            }
-          in
-          match Stream.spec params with
-          | exception Invalid_argument msg -> raise (Recovery_failed msg)
-          | Error msg -> raise (Recovery_failed msg)
-          | Ok spec -> (
-              match
-                Stream_store.add sv.streams
-                  {
-                    Stream_store.handle = o.Journal.handle;
-                    dataset = o.Journal.dataset;
-                    spec;
-                    counter =
-                      Counter.create ~epsilon:o.Journal.epsilon
-                        ~horizon:o.Journal.horizon;
-                    reads = 0;
-                  }
-              with
-              | () -> ()
-              | exception Invalid_argument msg ->
-                  raise (Recovery_failed msg))))
-  | Journal.Stream_append a -> (
-      (* replay goes through [commit] alone — the journaled noisy node
-         values are applied verbatim, consuming zero PRNG draws, so the
-         rebuilt tree releases bit-identical counts *)
-      match Hashtbl.find_opt t.servings a.Journal.dataset with
-      | None ->
-          raise
-            (Recovery_failed
-               (Printf.sprintf "journal appends to unknown dataset %S"
-                  a.Journal.dataset))
-      | Some sv -> (
-          match Stream_store.find sv.streams a.Journal.handle with
-          | None ->
-              raise
-                (Recovery_failed
-                   (Printf.sprintf "journal appends to unknown stream %S"
-                      a.Journal.handle))
-          | Some s -> (
-              match
-                Counter.commit s.Stream_store.counter ~bit:a.Journal.bit
-                  a.Journal.nodes
-              with
-              | () -> Stream_store.record_append sv.streams
-              | exception Invalid_argument msg ->
-                  raise (Recovery_failed msg))))
+  | ( Journal.Cache_insert { dataset; _ }
+    | Journal.Train { dataset; _ }
+    | Journal.Stream_open { dataset; _ }
+    | Journal.Stream_append { dataset; _ } ) as r -> (
+      try apply (serving dataset) r
+      with Invalid_argument msg -> raise (Recovery_failed msg))
 
 (* The rebuilt audit trace must re-verify: replaying the journaled
    marginals through the plain basic accountant (Dp_audit.Replay) has

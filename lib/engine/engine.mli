@@ -13,10 +13,13 @@
 
     With a journal attached ({!open_journal}) every state change is
     durable before its effect is visible: registrations, budget
-    charges and cache inserts. A query's charge and its cache record
-    are fsynced together, as one batch, {e before} the noisy answer is
-    released — charge-before-answer. A crash at any point can
-    only over-count spent ε, never under-count. Failures on the release
+    charges, cache inserts, models and streams. Every release — a
+    query, a train, a stream open — takes one path: the ledger is
+    charged, the draw is made in memory, and the charge and the
+    records the result needs are fsynced together, as one batch,
+    {e before} anything drawn is released — charge-before-answer. A
+    crash at any point can only over-count spent ε, never
+    under-count. Failures on the release
     path surface as typed {!error}s ([Transient] is retryable, [Fatal]
     is not); injected faults ({!Faults}) drive every one of those paths
     in tests. When remaining ε falls below the policy's low-water mark,
@@ -93,9 +96,10 @@ type error =
           [err degraded reason=lease-lost]. *)
   | Transient of string
       (** retryable: the journal append or fsync failed after bounded
-          retries, or the RNG was exhausted — nothing was released and
-          the live ledger keeps the charge, so ε only over-counts; the
-          client may retry *)
+          retries, or the RNG was exhausted during a release's draw
+          (a query's noise, a train's chains) — nothing was released
+          and the live ledger keeps the charge, so ε only over-counts;
+          the client may retry *)
   | Fatal of string
       (** not retryable: the journal is poisoned; the engine serves
           cache hits only from here on *)
@@ -159,8 +163,9 @@ val analyst_spent : t -> dataset:string -> analyst:string -> Privacy.budget
 
     A [train] request is a query like any other: planned statically
     ({!Dp_train.Train.spec} — the analyzer prices it bit-identically),
-    charged through the ledger, journaled charge-before-train, and
-    released only if the convergence gate passes. The release is an
+    charged through the ledger before its chains run, journaled with
+    its model in one batch, and released only if the convergence gate
+    passes. The release is an
     opaque {e model handle}; {!predict} is free post-processing of the
     released θ. *)
 
@@ -177,12 +182,15 @@ val train :
   Dp_train.Train.params ->
   (trained, error) result
 (** Run one private training request. The charge ([chains·ε] for
-    Gibbs, [ε] for objective perturbation) is journaled and fsynced
-    before any chain runs; the model frame is journaled before the
-    handle becomes resolvable, so a recovered engine resolves exactly
-    the handles the live one did, bit-identically. An unconverged run
-    returns [Error (Unconverged _)]: the charge stands (journaled as
-    withheld) and the handle resolves to a θ-less model. *)
+    Gibbs, [ε] for objective perturbation) is spent on the ledger
+    before any chain runs; the chains are the release's draw, and the
+    charge and the model frame are journaled and fsynced as one batch
+    after them, before the handle becomes resolvable, so a recovered
+    engine resolves exactly the handles the live one did,
+    bit-identically. An unconverged run returns
+    [Error (Unconverged _)]: the charge stands (journaled as withheld
+    in the same batch) and the handle resolves to a θ-less model. A
+    failed batch withholds the model and issues no handle. *)
 
 val find_model : t -> string -> Dp_train.Model_store.model option
 (** Resolve a handle ([dataset/mN]); free, served even degraded. *)
@@ -207,8 +215,9 @@ val models : t -> dataset:string -> (Dp_train.Model_store.t, error) result
     ({!Dp_stream.Counter}): per-release error stays polylogarithmic in
     the stream length instead of linear.
 
-    Durability inverts none of the engine's rules: the open's charge is
-    journaled before the handle exists, and every append journals the
+    Durability inverts none of the engine's rules: the open's charge
+    and its handle are journaled as one batch before the handle exists,
+    and every append journals the
     closing tree nodes' {e noisy} values before the in-memory tree
     mutates — so a kill -9 at any point recovers a stream releasing
     bit-identical counts, without consuming a single PRNG draw on
@@ -229,10 +238,12 @@ val stream_open :
   Dp_stream.Stream.params ->
   (stream_opened, error) result
 (** Open a continual-observation counter over [dataset] events. Charges
-    [Stream.spec params] (the whole stream's budget) up front; refused
-    in degraded mode or with the journal down, like any fresh release.
-    The returned handle ([dataset/sN]) is durable: it resolves after
-    recovery iff it resolved live. *)
+    [Stream.spec params] (the whole stream's budget) up front, through
+    the same release path as a query with an empty draw: the charge
+    and the stream's frame are one journal batch, fsynced before the
+    handle exists. Refused in degraded mode or with the journal down,
+    like any fresh release. The returned handle ([dataset/sN]) is
+    durable: it resolves after recovery iff it resolved live. *)
 
 type appended = {
   handle : string;

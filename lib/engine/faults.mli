@@ -34,10 +34,11 @@ type point =
   | Journal_fsync  (** transient: a journal batch's fsync fails *)
   | Rng  (** transient: the entropy source is exhausted mid-release *)
   | Crash_after_charge
-      (** fatal: the process dies after the release's charge (with a
-          query's cache record, in one batch) is journaled but before
-          the noisy answer is released — the crash that
-          charge-before-answer ordering makes safe *)
+      (** fatal: the process dies after a release's batch (its charge
+          and the records its result needs: a query's cache record, a
+          train's model, a stream's open frame) is journaled but before
+          the result is released — the crash that charge-before-answer
+          ordering makes safe *)
   | Garbage_line
       (** protocol: the next input line is replaced by an oversized
           garbage blob before parsing *)

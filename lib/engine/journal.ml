@@ -1,4 +1,5 @@
 open Dp_mechanism
+module Model_store = Dp_train.Model_store
 
 type charge_record = {
   dataset : string;
@@ -16,23 +17,6 @@ type cache_record = {
   answer : Planner.answer;
   mechanism : Planner.mechanism;
   requested : Privacy.budget;
-}
-
-type train_record = {
-  dataset : string;
-  handle : string;
-  backend : string;
-  epsilon : float;
-  chains : int;
-  steps : int;
-  beta : float;
-  face : Privacy.budget;
-  target : string;
-  features : (string * float * float) array;
-  theta : float array option;
-  rhat : float array;
-  ess : float array;
-  acceptance : float;
 }
 
 type stream_open_record = {
@@ -58,7 +42,7 @@ type record =
   | Charge of charge_record
   | Cache_insert of cache_record
   | Withheld of { dataset : string; reason : string }
-  | Train of train_record
+  | Train of Model_store.model
   | Stream_open of stream_open_record
   | Stream_append of stream_append_record
 
@@ -276,7 +260,7 @@ let decode c =
       let acceptance = get_float c in
       Train
         {
-          dataset;
+          Model_store.dataset;
           handle;
           backend;
           epsilon;

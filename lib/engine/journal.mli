@@ -7,10 +7,11 @@
     discipline, specialised to the charge-before-answer ordering:
 
     - every state change (dataset registration, budget charge, cache
-      insert) is a checksummed {!Frame}. A query's charge and its cache
-      record are appended as one batch (one write, one fsync) after
-      the noise is drawn in memory and {e before} the noisy answer is
-      released;
+      insert, model, stream) is a checksummed {!Frame}. A release — a
+      query, a train, a stream open — appends its charge and the
+      records its result needs as one batch (one write, one fsync)
+      after its draw is made in memory and {e before} anything it drew
+      is released;
     - recovery replays the journal into a fresh engine, truncating a
       torn tail record (a crash mid-write) at the last valid frame;
     - because the charge is durable before the answer leaves the
@@ -47,27 +48,6 @@ type cache_record = {
   requested : Privacy.budget;
 }
 
-type train_record = {
-  dataset : string;
-  handle : string;  (** durable model handle, e.g. [demo/m1] *)
-  backend : string;  (** {!Dp_train.Train.backend_name} *)
-  epsilon : float;  (** per-chain face ε as requested *)
-  chains : int;
-  steps : int;
-  beta : float;  (** Gibbs inverse temperature; [0.] for objpert *)
-  face : Privacy.budget;  (** total ledger charge (display metadata;
-      the authoritative charge is the paired [Charge] record) *)
-  target : string;
-  features : (string * float * float) array;
-      (** name, lo, hi — the public scaling facts prediction needs *)
-  theta : float array option;
-      (** hex-float encoded, so a recovered model predicts
-          bit-identically; [None] iff the gate withheld the release *)
-  rhat : float array;  (** per-coordinate split-R̂ (empty: deterministic) *)
-  ess : float array;
-  acceptance : float;
-}
-
 type stream_open_record = {
   dataset : string;
   handle : string;  (** durable stream handle, e.g. [demo/s1] *)
@@ -96,25 +76,28 @@ type record =
   | Charge of charge_record
   | Cache_insert of cache_record
   | Withheld of { dataset : string; reason : string }
-      (** outcome marker for a [Charge] whose answer was withheld live
-          (journal or RNG failure after the ledger committed): recovery
-          pairs it with the charge right before it, so rebuilt
-          answered/rejected stats and audit verdicts match the live
-          run. A withheld query appends it in the same batch as its
-          charge; a withheld train or stream open appends it best-effort
-          right after its own charge. Only a genuine crash between
-          charge and outcome leaves a charge without its marker, which
-          makes recovery over-count [answered]; the budget itself is
-          carried by the [Charge]. *)
-  | Train of train_record
-      (** a completed training run — released or withheld — appended
-          after its [Charge] (and, when unconverged, after the
-          [Withheld] marker). Recovery rebuilds the model store from
-          these in journal order, so handle names are stable and a
-          restarted server resolves [predict]/[model] queries
-          bit-identically. *)
+      (** outcome marker for a [Charge] whose release was withheld live
+          (journal or RNG failure after the ledger committed, or an
+          unconverged train): recovery pairs it with the charge right
+          before it, so rebuilt answered/rejected stats and audit
+          verdicts match the live run. It always rides in its charge's
+          batch: [[Charge; Withheld]], best-effort, for a failed draw or
+          batch, and [[Charge; Withheld; Train]] for an unconverged
+          train. Only a crash after a batch is durable and before its
+          release leaves the engine makes recovery count [answered] for
+          a release that never left; the budget itself is carried by
+          the [Charge]. *)
+  | Train of Dp_train.Model_store.model
+      (** a completed training run — released or withheld — in one
+          batch with its [Charge] (and, when unconverged, the
+          [Withheld] marker between them). Recovery rebuilds the model
+          store from these in journal order, so handle names are stable
+          and a restarted server resolves [predict]/[model] queries
+          bit-identically; θ is hex-float encoded. The model's [face]
+          is display metadata: the authoritative charge is the
+          [Charge]. *)
   | Stream_open of stream_open_record
-      (** a stream handle becoming resolvable, appended after the
+      (** a stream handle becoming resolvable, in one batch with the
           [Charge] that paid its whole-lifetime face — the handle
           exists iff this frame is durable, like model handles. *)
   | Stream_append of stream_append_record

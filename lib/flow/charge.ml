@@ -1,17 +1,18 @@
 (* F2: charge-before-release dominance.
 
-   A release site is an application of a planner's [.run] closure or a
-   construction of a [Released] outcome. On every path from an entry
-   point to a release site, a charge (Ledger.spend, a replayed or
-   journaled charge, or a deterministic-gate proof) must already have
-   executed. The walk threads a two-point lattice (Uncharged/Charged)
-   left-to-right through each definition; branches join with AND over
-   the arms that can fall through (a diverging arm — failwith, raise —
-   does not weaken the join). Function summaries record whether a
-   callee establishes a charge and which release sites it can reach
-   while still uncharged, so the check is interprocedural: a helper
-   that fires [plan.run] is flagged from whichever entry reaches it
-   without paying first. *)
+   A release site is an application of a [.run] closure (a planner's,
+   or a release face's draw) or a construction of a [Released]
+   outcome. On every path from an entry point to a release site, a
+   charge (Ledger.spend, a replayed charge, a WAL'd lease grant, or a
+   deterministic-gate proof) must already have executed. The walk
+   threads a two-point lattice (Uncharged/Charged) left-to-right
+   through each definition; branches join with AND over the arms that
+   can fall through (a diverging arm — failwith, raise — does not
+   weaken the join). Function summaries record whether a callee
+   establishes a charge and which release sites it can reach while
+   still uncharged, so the check is interprocedural: a helper that
+   fires [plan.run] is flagged from whichever entry reaches it without
+   paying first. *)
 
 type state = Charged | Uncharged
 

@@ -149,8 +149,6 @@ let chargers =
   [
     ("Ledger", "spend");
     ("Ledger", "replay_charge");
-    ("Journal", "append");
-    ("", "journal_append");
     ("Gates", "check");
     ("Gates", "deterministic");
     (* the pool's charge-before-grant: a lease is journaled in the

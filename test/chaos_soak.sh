@@ -132,9 +132,10 @@ done
 # One released model (objective perturbation: deterministic gate), one
 # deterministically-withheld model (frozen gibbs proposal), then a long
 # gibbs train left in flight when the server is kill -9'd. The journal's
-# Train frames must rebuild the first two handles bit-identically; the
-# interrupted train has a journaled charge but no model frame, so its
-# retry is priced as a fresh request.
+# Train frames must rebuild the first two handles bit-identically. A
+# train's charge and model frame are one batch written after its chains,
+# so the interrupted train leaves neither: nothing was released, as for
+# a query killed mid-draw, and its retry is priced as a fresh request.
 printf 'train demo backend=objpert eps=0.3\nmodel demo/m1\npredict demo/m1 40,50000\ntrain demo eps=0.05 steps=16 burn=0 step-std=1e-12\nmodel demo/m2\n' \
   | client "$PORT" 300 > chaos_cli_train.out
 grep -q 'ok trained model=demo/m1 backend=objective-perturbation .*released=yes' \

@@ -11,6 +11,9 @@
 #   - pre-crash answers replay from the recovered cache bit-identically;
 #   - the crashed query was charged once: re-asked after the restart it
 #     is a cache hit that charges nothing.
+# A train leg then crashes a train the same way: its charge and model
+# frame are one batch, so the restart resolves the model with its
+# journaled theta and the charge is spent exactly once.
 set -eu
 
 DPKIT="$1"
@@ -66,6 +69,36 @@ fi
 if ! echo "$OUT2" | grep -q "^ok seq=[0-9]* value=$VALUE1 .*cache=hit"; then
   echo "recovered cache answer missing or not bit-identical to $VALUE1:"
   echo "$OUT2"
+  exit 1
+fi
+
+rm -f "$J"
+
+# --- train leg: a crash after the train's batch keeps its model --------
+set +e
+OUT3=$(printf 'register demo rows=400 eps=1\ntrain demo backend=objpert eps=0.3\nquit\n' \
+  | "$DPKIT" serve --journal "$J" --faults crash-after-charge=1 2>/dev/null)
+CODE=$?
+set -e
+
+if [ "$CODE" -ne 70 ]; then
+  echo "train leg: expected exit 70 (injected crash), got $CODE"
+  echo "$OUT3"
+  exit 1
+fi
+
+OUT4=$(printf 'model demo/m1\nreport demo\nquit\n' \
+  | "$DPKIT" serve --journal "$J" 2>/dev/null)
+
+if ! echo "$OUT4" | grep -q '^ok model demo/m1 .*released=yes'; then
+  echo "crashed train's model not recovered from its batch:"
+  echo "$OUT4"
+  exit 1
+fi
+
+if ! echo "$OUT4" | grep -q 'eps-spent=0\.3 '; then
+  echo "crashed train's charge lost or spent twice:"
+  echo "$OUT4"
   exit 1
 fi
 

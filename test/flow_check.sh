@@ -10,7 +10,7 @@ set -u
 
 DPKIT="$1"
 
-# --- 1. the flow corpus: exactly 9 findings, 2×F1 + 3×F2 + 4×F3 ----
+# --- 1. the flow corpus: exactly 10 findings, 2×F1 + 4×F2 + 4×F3 ---
 out=$("$DPKIT" flow --format json flow_corpus)
 if [ $? -eq 0 ]; then
   echo "FAIL: corpus flow exited 0 (seeded violations not detected)"
@@ -21,14 +21,14 @@ n=$(printf '%s\n' "$out" | grep -c '"rule"')
 f1=$(printf '%s\n' "$out" | grep -c '"rule":"F1"')
 f2=$(printf '%s\n' "$out" | grep -c '"rule":"F2"')
 f3=$(printf '%s\n' "$out" | grep -c '"rule":"F3"')
-if [ "$n" -ne 9 ] || [ "$f1" -ne 2 ] || [ "$f2" -ne 3 ] || [ "$f3" -ne 4 ]; then
-  echo "FAIL: expected 9 corpus findings (2 F1, 3 F2, 4 F3), got $n ($f1/$f2/$f3)"
+if [ "$n" -ne 10 ] || [ "$f1" -ne 2 ] || [ "$f2" -ne 4 ] || [ "$f3" -ne 4 ]; then
+  echo "FAIL: expected 10 corpus findings (2 F1, 4 F2, 4 F3), got $n ($f1/$f2/$f3)"
   printf '%s\n' "$out"
   exit 1
 fi
 
-for f in launder_main synopsis_reply charge_branch fire_helper wrap_helper \
-         smuggle_main seed_engine seed_net pool; do
+for f in launder_main synopsis_reply charge_branch journal_first fire_helper \
+         wrap_helper smuggle_main seed_engine seed_net pool; do
   if ! printf '%s\n' "$out" | grep -q "$f\.ml"; then
     echo "FAIL: no finding reported in $f.ml"
     printf '%s\n' "$out"
@@ -120,5 +120,5 @@ case "$real" in
     exit 1 ;;
 esac
 
-echo "flow: 9/9 corpus violations flagged with witnesses, lint blind to all,"
+echo "flow: 10/10 corpus violations flagged with witnesses, lint blind to all,"
 echo "      lint --flow parity holds, range exemptions + baseline honoured"

@@ -479,6 +479,110 @@ let one_fsync_per_withheld_draw () =
       | Journal.Withheld { reason = "rng"; _ } :: Journal.Charge _ :: _ -> ()
       | _ -> Alcotest.fail "the batch is not [Charge; Withheld]")
 
+(* A train or a stream open is a release like a query: its charge and
+   the records its result needs are one batch, one fsync. [release]
+   runs one of them against a journaled engine; the result is the
+   fsyncs and appends it cost and the records it left at the journal's
+   tail. *)
+let one_release ?(faults = Faults.none) release =
+  with_journal (fun path ->
+      let eng = fresh ~faults () in
+      let _ = ok (Engine.open_journal eng path) in
+      let _ =
+        ok (Engine.register_synthetic eng ~name:"demo" ~rows:400
+              ~policy:(policy ()))
+      in
+      let f0, a0 = journal_counters eng in
+      release eng;
+      let f1, a1 = journal_counters eng in
+      Engine.close eng;
+      let records = fst (ok (Journal.load path)) in
+      let appends = a1 - a0 in
+      let first = List.length records - appends in
+      (f1 - f0, appends, List.filteri (fun i _ -> i >= first) records))
+
+let train_params opts =
+  match Dp_train.Train.params_of_opts ~default_epsilon:0.1 opts with
+  | Ok p -> p
+  | Error e -> Alcotest.fail e
+
+let objpert = [ ("backend", Some "objpert"); ("eps", Some "0.3") ]
+
+let pp_engine_error e = Format.asprintf "%a" Engine.pp_error e
+
+let one_fsync_per_train () =
+  let fsyncs, appends, tail =
+    one_release (fun eng ->
+        ignore
+          (ok_r "objpert train"
+             (Engine.train eng ~dataset:"demo" (train_params objpert))))
+  in
+  Alcotest.(check int) "one fsync" 1 fsyncs;
+  Alcotest.(check int) "two records" 2 appends;
+  match tail with
+  | [ Journal.Charge _; Journal.Train { theta = Some _; _ } ] -> ()
+  | _ -> Alcotest.fail "the batch is not [Charge; Train]"
+
+(* The frozen proposal never mixes, so the gate withholds: the marker
+   and the θ-less model ride in the charge's batch. *)
+let one_fsync_per_unconverged_train () =
+  let fsyncs, appends, tail =
+    one_release (fun eng ->
+        match
+          Engine.train eng ~dataset:"demo"
+            (train_params
+               [
+                 ("eps", Some "0.05"); ("steps", Some "16"); ("burn", Some "0");
+                 ("step-std", Some "1e-12");
+               ])
+        with
+        | Error (Engine.Unconverged _) -> ()
+        | Ok _ -> Alcotest.fail "frozen chains released"
+        | Error e ->
+            Alcotest.failf "expected unconverged, got %s" (pp_engine_error e))
+  in
+  Alcotest.(check int) "one fsync" 1 fsyncs;
+  Alcotest.(check int) "three records" 3 appends;
+  match tail with
+  | [
+   Journal.Charge _;
+   Journal.Withheld { reason = "unconverged"; _ };
+   Journal.Train { theta = None; _ };
+  ] ->
+      ()
+  | _ -> Alcotest.fail "the batch is not [Charge; Withheld; Train]"
+
+let one_fsync_per_stream_open () =
+  let fsyncs, appends, tail =
+    one_release (fun eng ->
+        ignore
+          (ok_r "stream open"
+             (Engine.stream_open eng ~dataset:"demo"
+                { Dp_stream.Stream.epsilon = 0.1; horizon = 16; window = 0 })))
+  in
+  Alcotest.(check int) "one fsync" 1 fsyncs;
+  Alcotest.(check int) "two records" 2 appends;
+  match tail with
+  | [ Journal.Charge _; Journal.Stream_open _ ] -> ()
+  | _ -> Alcotest.fail "the batch is not [Charge; Stream_open]"
+
+(* The chains are the train's draw, so the rng fault point covers them:
+   an exhausted source withholds the model and keeps the charge. *)
+let train_rng_withheld () =
+  let fsyncs, appends, tail =
+    one_release ~faults:(ok (Faults.parse "rng=always")) (fun eng ->
+        match Engine.train eng ~dataset:"demo" (train_params objpert) with
+        | Error (Engine.Transient _) -> ()
+        | Ok _ -> Alcotest.fail "rng=always released a model"
+        | Error e ->
+            Alcotest.failf "expected transient, got %s" (pp_engine_error e))
+  in
+  Alcotest.(check int) "one fsync" 1 fsyncs;
+  Alcotest.(check int) "two records" 2 appends;
+  match tail with
+  | [ Journal.Charge _; Journal.Withheld { reason = "rng"; _ } ] -> ()
+  | _ -> Alcotest.fail "the batch is not [Charge; Withheld rng]"
+
 (* --- a refused record stays refused --- *)
 
 (* A register whose fsync fails after every retry is refused live, and
@@ -885,6 +989,13 @@ let () =
             one_fsync_per_answer;
           Alcotest.test_case "one fsync per withheld draw" `Quick
             one_fsync_per_withheld_draw;
+          Alcotest.test_case "one fsync per train" `Quick one_fsync_per_train;
+          Alcotest.test_case "one fsync per unconverged train" `Quick
+            one_fsync_per_unconverged_train;
+          Alcotest.test_case "one fsync per stream open" `Quick
+            one_fsync_per_stream_open;
+          Alcotest.test_case "train draw under the rng fault" `Quick
+            train_rng_withheld;
         ] );
       ( "faults",
         [

@@ -297,6 +297,24 @@ let test_budget_exhaustion () =
       check_close "spent the whole budget" 0.3 rep.Engine.spent.Privacy.epsilon;
       check_close "nothing remains" 0. rep.Engine.remaining.Privacy.epsilon
 
+(* Every decision in the audit log is one the report counts: a query
+   the planner refuses takes an audit seq, so it is a rejection. *)
+let test_refusals_counted () =
+  let eng = demo_engine () in
+  (match Engine.submit_text eng ~dataset:"demo" "mean(nosuch)" with
+  | Error (Engine.Bad_query _) -> ()
+  | Ok _ -> Alcotest.fail "mean(nosuch) answered"
+  | Error e -> Alcotest.failf "wrong error: %a" Engine.pp_error e);
+  let r = submit_ok eng "count" in
+  Alcotest.(check int) "the refusal took seq 0" 1 r.Engine.seq;
+  match Engine.report eng ~dataset:"demo" with
+  | Error e -> Alcotest.failf "report: %a" Engine.pp_error e
+  | Ok rep ->
+      Alcotest.(check int) "queries = audit records"
+        (List.length (Engine.records eng ~dataset:"demo"))
+        rep.Engine.queries;
+      Alcotest.(check int) "rejected" 1 rep.Engine.rejected
+
 let answers_equal a b =
   match (a, b) with
   | Planner.Scalar x, Planner.Scalar y -> x = y
@@ -847,6 +865,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "budget exhaustion" `Quick test_budget_exhaustion;
+          Alcotest.test_case "refusals counted" `Quick test_refusals_counted;
           Alcotest.test_case "cache is free post-processing" `Quick
             test_cache_postprocessing;
           Alcotest.test_case "cache can be disabled" `Quick test_cache_disabled;

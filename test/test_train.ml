@@ -216,6 +216,32 @@ let test_predict_is_free () =
   Alcotest.(check int64) "prediction charged nothing"
     (bits s1.Privacy.epsilon) (bits s2.Privacy.epsilon)
 
+(* A lease refusal is refused before any charge, like a query's: one
+   rejected decision, logged with the train's mechanism and face. *)
+let test_lease_refusal_logged () =
+  let eng = fresh () in
+  Engine.set_lease_gate eng
+    (Some
+       (fun ~dataset:_ ~face ->
+         Engine.Lease_denied { requested = face; remaining = Privacy.pure 0. }));
+  (match Engine.train eng ~dataset:"d" (objpert "0.3") with
+  | Error (Engine.Budget_exceeded _) -> ()
+  | Ok _ -> Alcotest.fail "trained without a lease"
+  | Error e ->
+      Alcotest.failf "expected Budget_exceeded: %s"
+        (Format.asprintf "%a" Engine.pp_error e));
+  Alcotest.(check int) "rejected" 1
+    (ok_r "report" (Engine.report eng ~dataset:"d")).Engine.rejected;
+  match List.rev (Engine.records eng ~dataset:"d") with
+  | [] -> Alcotest.fail "the refusal was not logged"
+  | r :: _ ->
+      Alcotest.(check (option string)) "mechanism"
+        (Some "objective-perturbation") r.Audit_log.mechanism;
+      Alcotest.(check int64) "face" (bits 0.3)
+        (bits r.Audit_log.requested.Privacy.epsilon);
+      Alcotest.(check bool) "verdict" true
+        (r.Audit_log.verdict = Audit_log.Rejected "budget-exceeded")
+
 (* --- static = live --------------------------------------------------- *)
 
 let train_opts =
@@ -338,6 +364,8 @@ let () =
           Alcotest.test_case "unconverged withheld" `Quick
             test_unconverged_withheld;
           Alcotest.test_case "predict is free" `Quick test_predict_is_free;
+          Alcotest.test_case "lease refusal logged" `Quick
+            test_lease_refusal_logged;
         ] );
       ( "static = live",
         [
