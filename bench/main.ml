@@ -1,25 +1,17 @@
-(* Benchmark harness.
+(* Kernel and serving-phase benchmarks.
 
-   Two parts, both run by default:
-   1. The experiment tables (E1..E12, A2..A4) — the rows DESIGN.md maps
-      to the paper's claims; `--quick` shrinks trial counts.
-   2. Bechamel micro-benchmarks of the performance-critical kernels,
-      including ablation A1 (alias-table vs Gumbel-max vs linear-scan
-      sampling for the exponential mechanism).
+   The default run times the performance-critical kernels with
+   bechamel: ablation A1 (alias-table vs Gumbel-max vs linear-scan
+   sampling for the exponential mechanism), the mechanisms, the
+   PAC-Bayes bounds, and engine submit through the full plan → ledger →
+   mechanism → cache path, cached vs uncached and journaled. It then
+   reads a serving-phase latency breakdown (plan/noise/journal/total
+   histograms) out of the engine's own observability layer.
 
-   3. Serving-engine throughput: queries/sec through the full
-      plan → ledger → mechanism → cache path, cached vs uncached.
-
-   4. Serving-phase latency breakdown: plan/noise/journal/total
-      histograms from the engine's own observability layer, printed and
-      written into the --json file as a "phases" section.
-
-   Usage: main.exe [--quick] [--tables-only | --bench-only]
-                   [--json FILE] [--overhead] [--net] [--train] [--stream]
+   Usage: main.exe [--json FILE] [--overhead | --train]
 
    --json FILE writes the micro-benchmark estimates plus the phase
-   breakdown as JSON (schema in bench/README.md), so successive PRs can
-   record a perf trajectory.
+   breakdown as JSON (schema in bench/README.md).
 
    --overhead runs only the instrumentation overhead gate: engine
    submit throughput with observability enabled must stay within 5% of
@@ -30,10 +22,9 @@
    charge → journal → chains → gate → handle path, emitted as "phases"
    rows into --json.
 
-   --stream runs only the continual-observation bench: append
-   throughput through the full journaled tree-counter path
-   (prepare → journal frame → commit) and prefix/window release
-   throughput, emitted as "phases" rows into --json. *)
+   The experiment tables are `dpkit experiment all [--quick]`; serving
+   throughput against a live server, with every reply checked, is
+   servebench (`sh servebench/run.sh`). *)
 
 open Bechamel
 open Toolkit
@@ -266,11 +257,26 @@ let durability_tests () =
            Dp_engine.Engine.close eng));
   ]
 
+(* One phase row from an engine latency histogram: count, mean,
+   p50/p90/p99 (log2-bucket quantile estimates, so within 2x). *)
+let phase_row scope name latency =
+  let h = Dp_obs.Metrics.latency scope latency in
+  ( name,
+    Dp_obs.Histo.count h,
+    Dp_obs.Histo.mean h,
+    Dp_obs.Histo.quantile h 0.5,
+    Dp_obs.Histo.quantile h 0.9,
+    Dp_obs.Histo.quantile h 0.99 )
+
+let print_phase_rows =
+  List.iter (fun (name, count, mean, p50, p90, p99) ->
+      Format.printf "%-10s count=%d mean=%.0fns p50=%.0fns p90=%.0fns p99=%.0fns@."
+        name count mean p50 p90 p99)
+
 (* Per-phase latency breakdown, measured by the engine's own
    observability layer: run a journaled, uncached workload and read the
    plan/noise/journal-append/submit histograms back out of the metric
-   registry. One row per phase: count, mean, p50/p90/p99 (log2-bucket
-   quantile estimates, so within 2x). *)
+   registry. *)
 let phase_rows () =
   let eng = Dp_engine.Engine.create ~seed:13 ~audit:false () in
   let path = Filename.temp_file "dpkit_bench_phases" ".wal" in
@@ -302,33 +308,16 @@ let phase_rows () =
   done;
   let scope = Dp_obs.Metrics.dataset (Dp_engine.Engine.metrics eng) "bench" in
   let global = Dp_obs.Metrics.global (Dp_engine.Engine.metrics eng) in
-  let row name sc latency =
-    let h = Dp_obs.Metrics.latency sc latency in
-    ( name,
-      Dp_obs.Histo.count h,
-      Dp_obs.Histo.mean h,
-      Dp_obs.Histo.quantile h 0.5,
-      Dp_obs.Histo.quantile h 0.9,
-      Dp_obs.Histo.quantile h 0.99 )
-  in
   let rows =
     [
-      row "plan" scope Dp_obs.Name.Plan_ns;
-      row "noise" scope Dp_obs.Name.Noise_ns;
-      row "journal" global Dp_obs.Name.Journal_append_ns;
-      row "total" scope Dp_obs.Name.Submit_ns;
+      phase_row scope "plan" Dp_obs.Name.Plan_ns;
+      phase_row scope "noise" Dp_obs.Name.Noise_ns;
+      phase_row global "journal" Dp_obs.Name.Journal_append_ns;
+      phase_row scope "total" Dp_obs.Name.Submit_ns;
     ]
   in
   Dp_engine.Engine.close eng;
   rows
-
-let print_phases phases =
-  Format.printf "@.== serving-phase latency (500 journaled count queries) ==@.";
-  List.iter
-    (fun (name, count, mean, p50, p90, p99) ->
-      Format.printf "%-10s count=%d mean=%.0fns p50=%.0fns p90=%.0fns p99=%.0fns@."
-        name count mean p50 p90 p99)
-    phases
 
 let write_json file rows phases =
   let oc = open_out file in
@@ -377,7 +366,8 @@ let run_benchmarks json =
   Format.printf "@.== micro-benchmarks (ns/run, OLS on monotonic clock) ==@.";
   List.iter (fun (name, t) -> Format.printf "%-45s %12.1f@." name t) rows;
   let phases = phase_rows () in
-  print_phases phases;
+  Format.printf "@.== serving-phase latency (500 journaled count queries) ==@.";
+  print_phase_rows phases;
   Option.iter (fun file -> write_json file rows phases) json
 
 (* Instrumentation overhead gate (CI). The instrumented path adds four
@@ -436,66 +426,6 @@ let overhead_gate () =
     exit 1
   end
   else Format.printf "PASS@."
-
-(* TCP round-trip throughput: the full client-socket -> select loop ->
-   Protocol.exec -> reply-frame path, cached vs uncached, against the
-   in-process engine numbers above. One persistent connection, requests
-   in lockstep, so this measures per-request frontend overhead rather
-   than concurrency. *)
-let net_bench () =
-  let eng = Dp_engine.Engine.create ~seed:11 ~audit:false () in
-  let policy =
-    {
-      (Dp_engine.Registry.default_policy
-         ~total:(Dp_mechanism.Privacy.pure 1e12))
-      with
-      Dp_engine.Registry.default_epsilon = 1e-4;
-    }
-  in
-  (match
-     Dp_engine.Engine.register_synthetic eng ~name:"bench" ~rows:4096 ~policy
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  let srv =
-    match Dp_net.Server.create eng with
-    | Ok s -> s
-    | Error msg -> failwith msg
-  in
-  let server_thread = Thread.create (fun () -> Dp_net.Server.run srv) () in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd
-    (Unix.ADDR_INET (Unix.inet_addr_loopback, Dp_net.Server.port srv));
-  let ic = Unix.in_channel_of_descr fd
-  and oc = Unix.out_channel_of_descr fd in
-  let roundtrip line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc;
-    let rec drain () = if input_line ic <> "" then drain () in
-    drain ()
-  in
-  let rate n f =
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      f i
-    done;
-    float_of_int n /. (Unix.gettimeofday () -. t0)
-  in
-  roundtrip "query bench count(age>40)";
-  (* warm-up; primes the cached case *)
-  let hit = rate 2000 (fun _ -> roundtrip "query bench count(age>40)") in
-  let miss =
-    rate 2000 (fun i ->
-        roundtrip (Printf.sprintf "query bench count(income>%d)" i))
-  in
-  Format.printf "@.== TCP round-trip throughput (1 conn, lockstep) ==@.";
-  Format.printf "net query (cache=hit)  %10.0f req/s@." hit;
-  Format.printf "net query (cache=miss) %10.0f req/s@." miss;
-  Dp_net.Server.request_stop srv;
-  Thread.join server_thread;
-  Unix.close fd;
-  Dp_engine.Engine.close eng
 
 (* Served-learning bench (--train): the full train pipeline — charge,
    journal, chains, gate, handle — timed by phase from the engine's own
@@ -558,270 +488,34 @@ let train_bench json =
   done;
   let pred_dt = Unix.gettimeofday () -. p0 in
   let scope = Dp_obs.Metrics.dataset (Dp_engine.Engine.metrics eng) "bench" in
-  let row name latency =
-    let h = Dp_obs.Metrics.latency scope latency in
-    ( name,
-      Dp_obs.Histo.count h,
-      Dp_obs.Histo.mean h,
-      Dp_obs.Histo.quantile h 0.5,
-      Dp_obs.Histo.quantile h 0.9,
-      Dp_obs.Histo.quantile h 0.99 )
-  in
   let phases =
     [
-      row "train" Dp_obs.Name.Train_ns;
-      row "gate" Dp_obs.Name.Gate_ns;
-      row "predict" Dp_obs.Name.Predict_ns;
+      phase_row scope "train" Dp_obs.Name.Train_ns;
+      phase_row scope "gate" Dp_obs.Name.Gate_ns;
+      phase_row scope "predict" Dp_obs.Name.Predict_ns;
     ]
   in
   Format.printf "== served learning (%d gibbs trains, %d rows) ==@." trains 512;
   Format.printf "mcmc steps     %10.0f steps/s@."
     (float_of_int iters /. train_dt);
   Format.printf "predict        %10.0f req/s@." (float_of_int npred /. pred_dt);
-  List.iter
-    (fun (name, count, mean, p50, p90, p99) ->
-      Format.printf
-        "%-10s count=%d mean=%.0fns p50=%.0fns p90=%.0fns p99=%.0fns@." name
-        count mean p50 p90 p99)
-    phases;
+  print_phase_rows phases;
   Option.iter (fun file -> write_json file [] phases) json;
   Dp_engine.Engine.close eng
 
-(* Continual-observation bench (--stream): append throughput through
-   the full journaled tree-counter path — noise draw on closing nodes,
-   Stream_append frame fsync'd, then commit — plus prefix and
-   sliding-window release throughput (pure post-processing, no
-   journal), with the engine's own append/read latency histograms
-   emitted as "phases" JSON rows. *)
-let stream_bench json =
-  let eng = Dp_engine.Engine.create ~seed:19 ~audit:false () in
-  let path = Filename.temp_file "dpkit_bench_stream" ".wal" in
-  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
-  (match Dp_engine.Engine.open_journal eng path with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  let policy =
-    Dp_engine.Registry.default_policy ~total:(Dp_mechanism.Privacy.pure 1e12)
-  in
-  (match
-     Dp_engine.Engine.register_synthetic eng ~name:"bench" ~rows:512 ~policy
-   with
-  | Ok _ -> ()
-  | Error msg -> failwith msg);
-  let die e = failwith (Format.asprintf "%a" Dp_engine.Engine.pp_error e) in
-  let handle =
-    match
-      Dp_engine.Engine.stream_open eng ~dataset:"bench"
-        { Dp_stream.Stream.epsilon = 0.1; horizon = 32_768; window = 256 }
-    with
-    | Ok o -> o.Dp_engine.Engine.stream.Dp_stream.Stream_store.handle
-    | Error e -> die e
-  in
-  let rate n f =
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to n - 1 do
-      f i
-    done;
-    float_of_int n /. (Unix.gettimeofday () -. t0)
-  in
-  let nappend = 20_000 and nread = 50_000 in
-  let appends =
-    rate nappend (fun i ->
-        match Dp_engine.Engine.append eng handle (i land 1) with
-        | Ok _ -> ()
-        | Error e -> die e)
-  in
-  let reads =
-    rate nread (fun _ ->
-        match Dp_engine.Engine.stream_read eng handle with
-        | Ok _ -> ()
-        | Error e -> die e)
-  in
-  let windows =
-    rate nread (fun _ ->
-        match Dp_engine.Engine.stream_window eng handle () with
-        | Ok _ -> ()
-        | Error e -> die e)
-  in
-  let scope = Dp_obs.Metrics.dataset (Dp_engine.Engine.metrics eng) "bench" in
-  let row name latency =
-    let h = Dp_obs.Metrics.latency scope latency in
-    ( name,
-      Dp_obs.Histo.count h,
-      Dp_obs.Histo.mean h,
-      Dp_obs.Histo.quantile h 0.5,
-      Dp_obs.Histo.quantile h 0.9,
-      Dp_obs.Histo.quantile h 0.99 )
-  in
-  let phases =
-    [ row "append" Dp_obs.Name.Append_ns; row "stream-read" Dp_obs.Name.Stream_read_ns ]
-  in
-  Format.printf "== continual observation (journaled, %d appends) ==@." nappend;
-  Format.printf "append         %10.0f appends/s@." appends;
-  Format.printf "prefix read    %10.0f reads/s@." reads;
-  Format.printf "window read    %10.0f reads/s@." windows;
-  List.iter
-    (fun (name, count, mean, p50, p90, p99) ->
-      Format.printf
-        "%-10s count=%d mean=%.0fns p50=%.0fns p90=%.0fns p99=%.0fns@." name
-        count mean p50 p90 p99)
-    phases;
-  Option.iter (fun file -> write_json file [] phases) json;
-  Dp_engine.Engine.close eng
-
-(* Worker-pool throughput (--pool): req/s through the coordinator →
-   fd-pass → worker → lease-gate → reply path at N=1, 2 and 4 workers,
-   over 4 concurrent lockstep connections so N>1 can actually overlap
-   noise draws and journal fsyncs. N=1 is the single-process fast path
-   `dpkit serve` dispatches to, so the N=1 row is the pool's baseline,
-   not a pool with one worker. Each serving process is forked (its own
-   journal in a temp dir) and TERM-drained after the measurement. *)
-let pool_bench json =
-  let nconc = 4 and nreq = 2000 in
-  let bench_n workers =
-    let dir = Filename.temp_file "dpkit_bench_pool" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o700;
-    let cleanup () =
-      Array.iter
-        (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-        (try Sys.readdir dir with Sys_error _ -> [||]);
-      try Unix.rmdir dir with Unix.Unix_error _ -> ()
-    in
-    at_exit cleanup;
-    let journal = Filename.concat dir "bench.wal" in
-    let spawn port =
-      let rd, wr = Unix.pipe () in
-      let pid = Unix.fork () in
-      if pid = 0 then begin
-        Unix.close rd;
-        Unix.dup2 wr Unix.stdout;
-        Unix.close wr;
-        if workers = 1 then begin
-          let eng = Dp_engine.Engine.create ~seed:29 ~audit:false () in
-          (match Dp_engine.Engine.open_journal eng journal with
-          | Ok _ -> ()
-          | Error msg ->
-              prerr_endline msg;
-              exit 1);
-          let config = { Dp_net.Server.default_config with port } in
-          match Dp_net.Server.create ~config eng with
-          | Error _ -> exit 1
-          | Ok srv ->
-              Printf.printf "listening port=%d workers=1\n%!"
-                (Dp_net.Server.port srv);
-              Sys.set_signal Sys.sigterm
-                (Sys.Signal_handle (fun _ -> Dp_net.Server.request_stop srv));
-              Dp_net.Server.run srv;
-              Dp_engine.Engine.close eng;
-              exit 0
-        end
-        else
-          exit
-            (Dp_pool.Pool.run
-               {
-                 (Dp_pool.Pool.default_config ~workers ~port ~journal) with
-                 Dp_pool.Pool.seed = 29;
-               })
-      end;
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      match
-        let rec banner () =
-          let line = input_line ic in
-          if String.length line < 9 || String.sub line 0 9 <> "listening" then
-            banner ()
-        in
-        banner ()
-      with
-      | () -> Some (pid, rd)
-      | exception End_of_file ->
-          (* bind lost the port race; reap and let the caller retry *)
-          Unix.close rd;
-          ignore (Unix.waitpid [] pid);
-          None
-    in
-    let base = 25800 + (Unix.getpid () mod 1500) in
-    let rec start try_ =
-      if try_ >= 5 then failwith "pool bench: no bindable port"
-      else
-        match spawn (base + (workers * 7) + try_) with
-        | Some (pid, rd) -> (pid, rd, base + (workers * 7) + try_)
-        | None -> start (try_ + 1)
-    in
-    let pid, rd, port = start 0 in
-    let connect () =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
-    in
-    let roundtrip ic oc line =
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      let rec drain () = if input_line ic <> "" then drain () in
-      drain ()
-    in
-    (* register once; the coordinator broadcasts it to every shard *)
-    let fd0, ic0, oc0 = connect () in
-    roundtrip ic0 oc0 "register bench rows=4096 eps=1000000 default-eps=0.0001";
-    Unix.close fd0;
-    let conns = Array.init nconc (fun _ -> connect ()) in
-    let per = nreq / nconc in
-    let work k () =
-      let _, ic, oc = conns.(k) in
-      for i = 0 to per - 1 do
-        (* distinct thresholds: every answer is a fresh lease-gated draw *)
-        roundtrip ic oc
-          (Printf.sprintf "query bench count(income>%d)" ((k * per) + i))
-      done
-    in
-    (* warm-up outside the clock: leases granted, caches keyed *)
-    Array.iteri
-      (fun k (_, ic, oc) ->
-        roundtrip ic oc (Printf.sprintf "query bench count(age>%d)" k))
-      conns;
-    let t0 = Unix.gettimeofday () in
-    let threads = Array.init nconc (fun k -> Thread.create (work k) ()) in
-    Array.iter Thread.join threads;
-    let dt = Unix.gettimeofday () -. t0 in
-    Array.iter (fun (fd, _, _) -> try Unix.close fd with Unix.Unix_error _ -> ()) conns;
-    Unix.kill pid Sys.sigterm;
-    ignore (Unix.waitpid [] pid);
-    Unix.close rd;
-    cleanup ();
-    float_of_int nreq /. dt
-  in
-  Format.printf "== worker-pool throughput (%d conns, %d fresh queries) ==@."
-    nconc nreq;
-  let rows =
-    List.map
-      (fun workers ->
-        let rate = bench_n workers in
-        Format.printf "pool serve N=%d  %10.0f req/s@." workers rate;
-        (Printf.sprintf "pool serve N=%d" workers, 1e9 /. rate))
-      [ 1; 2; 4 ]
-  in
-  Option.iter (fun file -> write_json file rows []) json
-
-let rec json_arg = function
-  | "--json" :: file :: _ -> Some file
-  | _ :: rest -> json_arg rest
-  | [] -> None
+let usage () =
+  prerr_endline "usage: main.exe [--json FILE] [--overhead | --train]";
+  exit 2
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" argv in
-  let tables_only = List.mem "--tables-only" argv in
-  let bench_only = List.mem "--bench-only" argv in
-  if List.mem "--overhead" argv then overhead_gate ()
-  else if List.mem "--net" argv then net_bench ()
-  else if List.mem "--train" argv then train_bench (json_arg argv)
-  else if List.mem "--stream" argv then stream_bench (json_arg argv)
-  else if List.mem "--pool" argv then pool_bench (json_arg argv)
-  else begin
-    if not bench_only then
-      Dp_experiments.Registry.run_all ~quick ~seed:20120330 Format.std_formatter;
-    if not tables_only then run_benchmarks (json_arg argv);
-    Format.printf "@.done.@."
-  end
+  let args = List.tl (Array.to_list Sys.argv) in
+  let rec json_arg acc = function
+    | [] -> acc
+    | "--json" :: file :: rest -> json_arg (Some file) rest
+    | ("--overhead" | "--train") :: rest -> json_arg acc rest
+    | _ -> usage ()
+  in
+  let json = json_arg None args in
+  if List.mem "--overhead" args then overhead_gate ()
+  else if List.mem "--train" args then train_bench json
+  else run_benchmarks json

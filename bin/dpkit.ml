@@ -529,7 +529,12 @@ let rebase_flow_finding ~dir (f : Dp_lint.Report.finding) =
 
 let lint_cmd =
   let dir_arg =
-    let doc = "Directory to lint (the repository root)." in
+    let doc =
+      "Directory to lint. It must be the repository root: rules are scoped \
+       by path segments relative to DIR (R3 to $(b,lib/), R4-R7 to \
+       directories such as $(b,engine/), $(b,mechanism/) or $(b,net/)), so \
+       linting a subdirectory such as lib/net silently skips them."
+    in
     Arg.(value & pos 0 dir "." & info [] ~docv:"DIR" ~doc)
   in
   let format_arg =

@@ -304,6 +304,39 @@ let scalar_value (ds : Registry.dataset) query =
       Some (Dp_math.Summation.mean (col column).Registry.values)
   | _ -> None
 
+(* The quantile's exponential mechanism picks gap k between order
+   statistics with weight len_k · exp(−ε/2 · |k − q·n|), then a uniform
+   point in it, so its density on gap k is exp(−ε/2 · |k − q·n|) up to
+   normalization. A grid bin's mass is that density times the gap's
+   overlap with the bin, summed over gaps; each gap is spread over the
+   bins it crosses, O(n + bins) in all. The exponent is shifted by its
+   minimum over non-empty gaps, so heavy ties at the target cannot
+   underflow the whole model to zero. *)
+let quantile_bin_prob ~eps ~q ~width (sy : Synopsis.t) =
+  let n = Array.length sy.sorted in
+  let edge k = if k = 0 then sy.lo else if k > n then sy.hi else sy.sorted.(k - 1) in
+  let dist k = Float.abs (float_of_int k -. (q *. float_of_int n)) in
+  let shift = ref infinity in
+  for k = 0 to n do
+    if edge (k + 1) > edge k then shift := Float.min !shift (dist k)
+  done;
+  let bin = grid_bucket ~mid:sy.lo ~width in
+  let bins = bin sy.hi in
+  let mass = Array.make (bins + 1) 0. and total = ref 0. in
+  for k = 0 to n do
+    let a = edge k and b = edge (k + 1) in
+    if b > a then begin
+      let d = exp (-.eps /. 2. *. (dist k -. !shift)) in
+      total := !total +. (d *. (b -. a));
+      for j = max 0 (bin a) to min bins (bin b) do
+        let lo = sy.lo +. (float_of_int j *. width) in
+        let overlap = Float.min b (lo +. width) -. Float.max a lo in
+        if overlap > 0. then mass.(j) <- mass.(j) +. (d *. overlap)
+      done
+    end
+  done;
+  fun j -> if j >= 0 && j <= bins then mass.(j) /. !total else 0.
+
 (* Mean of a small pilot of releases per coordinate, used only to pick
    the projection coordinate for vector answers (post-processing, so
    any projection is privacy-safe to certify). *)
@@ -431,14 +464,21 @@ let of_query ?(rows = 64) ?(backend = `Basic) ?(break_ = `None) ~seed ~eps
                           Laplace.cdf m ~value:f1 (lo +. width)
                           -. Laplace.cdf m ~value:f1 lo);
                   }
-              | Query.Quantile { column; _ }, _, _, _ ->
+              | Query.Quantile { column; q }, _, _, _ ->
                   let c =
                     match Registry.column ds1 column with
                     | Some c -> c
                     | None -> invalid_arg "Certify: missing column"
                   in
                   let width = (c.Registry.hi -. c.Registry.lo) /. 64. in
-                  { default with bucket = grid_bucket ~mid:c.Registry.lo ~width }
+                  {
+                    default with
+                    bucket = grid_bucket ~mid:c.Registry.lo ~width;
+                    bin_prob =
+                      Some
+                        (quantile_bin_prob ~eps ~q ~width
+                           (Registry.synopsis ds1 c));
+                  }
               | (Query.Histogram _ | Query.Cdf _), _, _, _ ->
                   (* vector answer: certify the coordinate the neighbour
                      pair moves most (a fixed post-processing) *)

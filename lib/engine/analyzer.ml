@@ -7,78 +7,18 @@ let ( let* ) = Result.bind
 
 let at_line n = Result.map_error (Printf.sprintf "line %d: %s" n)
 
-(* Protocol.parse_opts errors are protocol reply lines; strip the
-   wire-format prefix so file diagnostics read naturally. *)
-let opts ~known tokens =
+(* Option errors are the serve protocol's reply lines; a file
+   diagnostic is the same reply without its "err " tag. *)
+let untag r =
   Result.map_error
     (fun msg ->
-      let prefix = "err bad-argument " in
-      if String.length msg > String.length prefix
-         && String.sub msg 0 (String.length prefix) = prefix
-      then String.sub msg (String.length prefix)
-             (String.length msg - String.length prefix)
+      if String.length msg > 4 && String.sub msg 0 4 = "err " then
+        String.sub msg 4 (String.length msg - 4)
       else msg)
-    (Protocol.parse_opts ~known tokens)
+    r
 
-let find_opt key kvs =
-  List.find_map (fun (k, v) -> if k = key then v else None) kvs
-
-let has_flag key kvs = List.exists (fun (k, v) -> k = key && v = None) kvs
-
-let float_opt key ~default kvs =
-  match find_opt key kvs with
-  | None -> Ok default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some x when Float.is_finite x -> Ok x
-      | _ -> Error (Printf.sprintf "bad number %s=%s" key s))
-
-let int_opt key ~default kvs =
-  match find_opt key kvs with
-  | None -> Ok default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "bad integer %s=%s" key s))
-
-let dataset_keys =
-  [
-    "rows"; "eps"; "delta"; "default-eps"; "analyst-eps"; "universe"; "slack";
-    "backend"; "no-cache"; "low-water";
-  ]
-
-(* Mirrors Protocol.register_lines: a schema's [dataset] line accepts
-   exactly the options of a live `register` command, so a schema file
-   prices the same service the server would run. *)
-let policy_of_opts kvs =
-  let* eps = float_opt "eps" ~default:1.0 kvs in
-  let* delta = float_opt "delta" ~default:0. kvs in
-  let* default_eps = float_opt "default-eps" ~default:0.1 kvs in
-  let* analyst_eps = float_opt "analyst-eps" ~default:0. kvs in
-  let* universe = int_opt "universe" ~default:64 kvs in
-  let* slack = float_opt "slack" ~default:1e-6 kvs in
-  let* low_water = float_opt "low-water" ~default:0. kvs in
-  let* backend =
-    match find_opt "backend" kvs with
-    | None | Some "basic" -> Ok Ledger.Basic
-    | Some "advanced" -> Ok (Ledger.Advanced { slack })
-    | Some "rdp" ->
-        Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
-    | Some other -> Error (Printf.sprintf "bad backend=%s" other)
-  in
-  if eps <= 0. then Error "eps must be positive"
-  else if low_water < 0. then Error "low-water must be >= 0"
-  else
-    Ok
-      {
-        Registry.total = Privacy.approx ~epsilon:eps ~delta;
-        backend;
-        default_epsilon = default_eps;
-        analyst_epsilon = (if analyst_eps > 0. then Some analyst_eps else None);
-        universe;
-        cache = not (has_flag "no-cache" kvs);
-        low_water;
-      }
+let opts ~known tokens = untag (Protocol.parse_opts ~known tokens)
+let float_opt key ~default kvs = untag (Protocol.float_opt key ~default kvs)
 
 let content_lines text =
   (* (line number, tokens), comments and blanks dropped *)
@@ -108,14 +48,10 @@ let parse_schema text =
             if header <> None then
               Error (Printf.sprintf "line %d: duplicate dataset line" n)
             else
+              (* exactly a live `register` line's options, so a schema
+                 prices the same service the server would run *)
               let* rows, policy =
-                at_line n
-                  (let* kvs = opts ~known:dataset_keys kv_toks in
-                   let* rows = int_opt "rows" ~default:1000 kvs in
-                   if rows <= 0 then Error "rows must be positive"
-                   else
-                     let* policy = policy_of_opts kvs in
-                     Ok (rows, policy))
+                at_line n (untag (Protocol.dataset_of_opts kv_toks))
               in
               go (Some (name, rows, policy)) cols rest
         | "column" :: name :: kv_toks ->
@@ -168,12 +104,9 @@ let parse_workload text =
         at_line n
           (let* kvs = opts ~known:[ "eps" ] opt_toks in
            let* eps =
-             match find_opt "eps" kvs with
+             match Protocol.find_opt "eps" kvs with
              | None -> Ok None
-             | Some s -> (
-                 match float_of_string_opt s with
-                 | Some x when Float.is_finite x -> Ok (Some x)
-                 | _ -> Error (Printf.sprintf "bad number eps=%s" s))
+             | Some _ -> Result.map Option.some (float_opt "eps" ~default:0. kvs)
            in
            let* query = Query.parse expr in
            Ok (Stat { text = expr; query; epsilon = eps }))

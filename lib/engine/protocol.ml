@@ -69,32 +69,30 @@ let register_keys =
     "backend"; "no-cache"; "low-water";
   ]
 
-let register_lines eng name opts_tokens =
-  let result =
-    let* opts = parse_opts ~known:register_keys opts_tokens in
-    let* rows = int_opt "rows" ~default:1000 opts in
-    let* eps = float_opt "eps" ~default:1.0 opts in
-    let* delta = float_opt "delta" ~default:0. opts in
-    let* default_eps = float_opt "default-eps" ~default:0.1 opts in
-    let* analyst_eps = float_opt "analyst-eps" ~default:0. opts in
-    let* universe = int_opt "universe" ~default:64 opts in
-    let* slack = float_opt "slack" ~default:1e-6 opts in
-    let* low_water = float_opt "low-water" ~default:0. opts in
-    let* backend =
-      match find_opt "backend" opts with
-      | None | Some "basic" -> Ok Ledger.Basic
-      | Some "advanced" -> Ok (Ledger.Advanced { slack })
-      | Some "rdp" ->
-          Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
-      | Some other ->
-          Error (Printf.sprintf "err bad-argument backend=%s" other)
-    in
-    if rows <= 0 then Error "err bad-argument rows must be positive"
-    else if eps <= 0. then Error "err bad-argument eps must be positive"
-    else if low_water < 0. then
-      Error "err bad-argument low-water must be >= 0"
-    else
-      let policy =
+let dataset_of_opts opts_tokens =
+  let* opts = parse_opts ~known:register_keys opts_tokens in
+  let* rows = int_opt "rows" ~default:1000 opts in
+  let* eps = float_opt "eps" ~default:1.0 opts in
+  let* delta = float_opt "delta" ~default:0. opts in
+  let* default_eps = float_opt "default-eps" ~default:0.1 opts in
+  let* analyst_eps = float_opt "analyst-eps" ~default:0. opts in
+  let* universe = int_opt "universe" ~default:64 opts in
+  let* slack = float_opt "slack" ~default:1e-6 opts in
+  let* low_water = float_opt "low-water" ~default:0. opts in
+  let* backend =
+    match find_opt "backend" opts with
+    | None | Some "basic" -> Ok Ledger.Basic
+    | Some "advanced" -> Ok (Ledger.Advanced { slack })
+    | Some "rdp" ->
+        Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
+    | Some other -> Error (Printf.sprintf "err bad-argument backend=%s" other)
+  in
+  if rows <= 0 then Error "err bad-argument rows must be positive"
+  else if eps <= 0. then Error "err bad-argument eps must be positive"
+  else if low_water < 0. then Error "err bad-argument low-water must be >= 0"
+  else
+    Ok
+      ( rows,
         {
           Registry.total = Privacy.approx ~epsilon:eps ~delta;
           backend;
@@ -103,11 +101,14 @@ let register_lines eng name opts_tokens =
           universe;
           cache = not (has_flag "no-cache" opts);
           low_water;
-        }
-      in
-      Result.map_error
-        (fun msg -> "err register-failed " ^ msg)
-        (Engine.register_synthetic eng ~name ~rows ~policy)
+        } )
+
+let register_lines eng name opts_tokens =
+  let result =
+    let* rows, policy = dataset_of_opts opts_tokens in
+    Result.map_error
+      (fun msg -> "err register-failed " ^ msg)
+      (Engine.register_synthetic eng ~name ~rows ~policy)
   in
   match result with
   | Error line -> [ line ]

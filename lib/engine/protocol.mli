@@ -70,6 +70,24 @@ val parse_opts :
 (** Parse [key=value] / bare-flag tokens. Unknown keys and duplicate
     keys are rejected with an [err bad-argument ...] line as the error. *)
 
+val find_opt : string -> (string * string option) list -> string option
+(** The value of [key=value] in parsed options, if given. *)
+
+val float_opt :
+  string ->
+  default:float ->
+  (string * string option) list ->
+  (float, string) result
+(** A finite float option, [default] when absent; a malformed value is
+    an [err bad-argument KEY=VALUE] line. *)
+
+val dataset_of_opts :
+  string list -> (int * Registry.policy, string) result
+(** The row count and policy of a [register] line's option tokens —
+    the one grammar for a served dataset, which [dpkit analyze] reads
+    from a schema's [dataset] line too. Errors are [err bad-argument]
+    lines. *)
+
 val exec : Engine.t -> string -> string list
 (** Execute one request line; returns the reply lines (empty for blank
     or [#]-comment lines). Never raises on malformed input; unexpected

@@ -166,6 +166,9 @@ let mk_conn fd =
    was load, not its request, and when to come back. *)
 let adopt t fd =
   Unix.set_nonblock fd;
+  (* a reply goes out when it is ready: Nagle would hold the second of
+     two pipelined replies behind the peer's delayed ACK (~40 ms) *)
+  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let c = mk_conn fd in
   if List.length t.conns >= t.cfg.max_conns then begin
     Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;

@@ -29,10 +29,16 @@ type config = {
   journal : string;  (** base path; shard k appends to [.shard<k>] *)
   metrics : string option;
   faults : Faults.t;
-  quantum : float;  (** ε granted per lease round-trip beyond need *)
-  ttl : float;  (** lease validity; workers renew before charging past it *)
-  max_restarts : int;  (** per-shard crash-loop bound *)
 }
+
+(* ε granted per lease round-trip beyond need *)
+let quantum = 0.5
+
+(* lease validity; workers renew before charging past it *)
+let ttl = 5.0
+
+(* per-shard crash-loop bound *)
+let max_restarts = 100
 
 let default_config ~workers ~port ~journal =
   {
@@ -42,9 +48,6 @@ let default_config ~workers ~port ~journal =
     journal;
     metrics = None;
     faults = Faults.none;
-    quantum = 0.5;
-    ttl = 5.0;
-    max_restarts = 100;
   }
 
 let shard_journal base k = Printf.sprintf "%s.shard%d" base k
@@ -85,8 +88,7 @@ let acquire_lock ?(wait_s = 0.) path =
     | Error msg ->
         if Unix.gettimeofday () >= deadline then Error msg
         else begin
-          (try ignore (Unix.select [] [] [] 0.05)
-           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+          (try Unix.sleepf 0.05 with Unix.Unix_error (Unix.EINTR, _, _) -> ());
           go ()
         end
   in
@@ -741,7 +743,7 @@ let handle_lease coord w ~ds ~token ~need =
         let prev = Lease.leased lease ~shard:w.shard in
         match
           Lease.grant lease ~shard:w.shard ~token ~need
-            ~quantum:coord.cfg.quantum ~now ~ttl:coord.cfg.ttl
+            ~quantum ~now ~ttl
         with
         | Lease.Stale { token = cur } ->
             ignore
@@ -871,7 +873,7 @@ let handle_death coord w status =
   let reclaimed = reclaim_shard coord w in
   if coord.draining then ()
   else if not reclaimed then ()
-  else if w.restarts >= coord.cfg.max_restarts then
+  else if w.restarts >= max_restarts then
     Printf.eprintf "pool: shard %d hit the restart bound — leaving it down\n%!"
       w.shard
   else begin

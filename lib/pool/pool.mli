@@ -55,17 +55,16 @@ type config = {
   metrics : string option;
   faults : Dp_engine.Faults.t;
       (** injected at lease handling and worker serve *)
-  quantum : float;  (** ε granted beyond immediate need per round-trip *)
-  ttl : float;
-      (** seconds a grant may be drawn down without renewal; when a
-          request is denied, shards idling past their deadline are
-          fenced so their unspent lease returns to the pool *)
-  max_restarts : int;  (** per-shard crash-loop bound *)
 }
+(** Fixed for every pool: a lease grants 0.5ε beyond immediate need
+    per round-trip; a grant may be drawn down without renewal for 5 s,
+    and when a request is denied, shards idling past their deadline are
+    fenced so their unspent lease returns to the pool; a shard that
+    crashes 100 times is left down. *)
 
 val default_config : workers:int -> port:int -> journal:string -> config
 (** seed 20120330, {!Dp_net.Server.default_config} on [port], no
-    metrics, no faults, quantum 0.5, ttl 5 s, max_restarts 100. *)
+    metrics, no faults. *)
 
 val shard_journal : string -> int -> string
 val wal_path : string -> string

@@ -44,7 +44,9 @@ let test_vector_and_quantile_faces () =
   let (r : Certify.report) = run_face "histogram(age,8)" in
   Alcotest.(check bool) "histogram certified" true r.ok;
   let (r : Certify.report) = run_face "quantile(income,0.5)" in
-  Alcotest.(check bool) "quantile certified" true r.ok
+  Alcotest.(check bool) "quantile certified" true r.ok;
+  Alcotest.(check bool) "quantile model check ran and passed" true
+    (List.exists (fun (c : Certify.check) -> c.check = "model" && c.ok) r.checks)
 
 let test_rdp_count_certified () =
   let (r : Certify.report) = run_face ~backend:(`Rdp 1e-6) "count(age>40)" in
@@ -59,7 +61,7 @@ let test_half_scale_detected () =
       Alcotest.(check bool) (q ^ " flagged") false r.ok;
       Alcotest.(check bool) (q ^ " err verdict") true
         (starts_with "err certify-failed" (Certify.verdict_line r)))
-    [ "count(age>40)"; "sum(income)" ]
+    [ "count(age>40)"; "sum(income)"; "quantile(income,0.5)" ]
 
 let test_train_face () =
   let honest =

@@ -1,7 +1,7 @@
 (* End-to-end sweep of the experiment registry: every experiment must
    run in quick mode without raising and must produce output. The
-   MCMC/training-heavy ones (exercised by bench/main.exe and their own
-   unit tests) are excluded to keep the suite fast. *)
+   MCMC/training-heavy ones (exercised by `dpkit experiment all` and
+   their own unit tests) are excluded to keep the suite fast. *)
 
 let heavy = [ "E8"; "E10"; "E16"; "E17"; "E29" ]
 

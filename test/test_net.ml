@@ -143,16 +143,23 @@ let send fd s =
   in
   go 0
 
+(* A connection's reply reader. One read may carry several frames, so
+   the lines past the end of one frame wait in [pending] for the next. *)
+type reader = { lb : Linebuf.t; mutable pending : Linebuf.line list }
+
+let reader () = { lb = Linebuf.create (); pending = [] }
+
 (* Read one blank-line-terminated reply frame; [`Eof] on a torn frame. *)
-let read_frame ?(timeout = 5.) fd lb =
+let read_frame ?(timeout = 5.) fd r =
   let buf = Bytes.create 4096 in
   let deadline = Unix.gettimeofday () +. timeout in
-  let rec go acc pending =
-    match pending with
+  let rec go acc =
+    match r.pending with
     | l :: rest ->
+        r.pending <- rest;
         if l.Linebuf.text = "" then
           `Frame (List.rev_map (fun (x : Linebuf.line) -> x.text) acc)
-        else go (l :: acc) rest
+        else go (l :: acc)
     | [] ->
         let left = deadline -. Unix.gettimeofday () in
         if left <= 0. then `Timeout
@@ -162,10 +169,12 @@ let read_frame ?(timeout = 5.) fd lb =
           | _ -> (
               match Unix.read fd buf 0 4096 with
               | 0 -> `Eof
-              | n -> go acc (Linebuf.feed lb buf 0 n)
+              | n ->
+                  r.pending <- Linebuf.feed r.lb buf 0 n;
+                  go acc
               | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> `Eof))
   in
-  go [] []
+  go []
 
 let frame ?timeout fd lb =
   match read_frame ?timeout fd lb with
@@ -179,7 +188,7 @@ let frame ?timeout fd lb =
 let tcp_end_to_end () =
   with_server (fun _eng port ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       send fd "register demo rows=200 eps=2\n";
       (match frame fd lb with
       | first :: _ ->
@@ -218,7 +227,7 @@ let tcp_end_to_end () =
 let tcp_two_clients () =
   with_server (fun _eng port ->
       let a = connect port and b = connect port in
-      let la = Linebuf.create () and lbuf = Linebuf.create () in
+      let la = reader () and lbuf = reader () in
       send a "register demo rows=100 eps=1\n";
       ignore (frame a la);
       (* interleaved requests on two connections are answered
@@ -243,7 +252,7 @@ let tcp_two_clients () =
 let tcp_oversized_split () =
   with_server (fun _eng port ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       let chunk = String.make 500 'x' in
       for _ = 1 to 10 do
         send fd chunk
@@ -265,6 +274,27 @@ let tcp_oversized_split () =
       | [] -> Alcotest.fail "no help reply");
       Unix.close fd)
 
+(* Two requests pipelined in one write: the second reply must not wait
+   out the client's delayed ACK, as it does when Nagle holds the second
+   small segment until the first is acknowledged (~40 ms on loopback). *)
+let tcp_pipelined_replies_prompt () =
+  with_server (fun _eng port ->
+      let fd = connect port in
+      let lb = reader () in
+      let gap () =
+        send fd "status\nstatus\n";
+        ignore (frame fd lb);
+        let t0 = Unix.gettimeofday () in
+        ignore (frame fd lb);
+        Unix.gettimeofday () -. t0
+      in
+      let gaps = List.sort compare (List.init 5 (fun _ -> gap ())) in
+      Unix.close fd;
+      let median = List.nth gaps 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "median gap %.2f ms under 20 ms" (median *. 1e3))
+        true (median < 0.020))
+
 (* ------------------------------------------------------------------ *)
 (* Admission control *)
 
@@ -274,12 +304,12 @@ let tcp_oversized_split () =
    would leak budget state to an unauthenticated peer. *)
 let shed_reply_of port =
   let holder = connect port in
-  let hl = Linebuf.create () in
+  let hl = reader () in
   send holder "help\n";
   ignore (frame holder hl);
   (* holder is accepted for sure; the next conn is over max_conns=1 *)
   let shed = connect port in
-  let sl = Linebuf.create () in
+  let sl = reader () in
   let reply = frame shed sl in
   (match read_frame ~timeout:2. shed sl with
   | `Eof -> ()
@@ -328,7 +358,7 @@ let inflight_shedding () =
       | first :: _ when contains ~sub:"ok" first -> ()
       | _ -> Alcotest.fail "register failed");
       let a = connect port and b = connect port in
-      let la = Linebuf.create () and lbuf = Linebuf.create () in
+      let la = reader () and lbuf = reader () in
       (* a queues a request but never reads the reply: after exec its
          unflushed frame still occupies the pipeline only until the
          kernel buffers it, so park a second one behind it *)
@@ -363,23 +393,9 @@ let shed_keeps_reply_order () =
         (String.concat ""
            (List.init 5 (fun i ->
                 Printf.sprintf "query demo count eps=0.0%d\n" (i + 1))));
-      (* several frames may arrive in one read: keep every line until
-         five blank terminators have closed five one-line frames *)
-      let lb = Linebuf.create () and buf = Bytes.create 4096 in
-      let rec replies acc =
-        if List.length (List.filter (String.equal "") acc) >= 5 then
-          List.rev (List.filter (fun l -> l <> "") acc)
-        else
-          match Unix.select [ fd ] [] [] 5. with
-          | [], _, _ -> Alcotest.fail "timed out waiting for replies"
-          | _ -> (
-              match Unix.read fd buf 0 (Bytes.length buf) with
-              | 0 -> Alcotest.fail "connection closed mid-frame"
-              | n ->
-                  replies
-                    (List.fold_left
-                       (fun acc (l : Linebuf.line) -> l.Linebuf.text :: acc)
-                       acc (Linebuf.feed lb buf 0 n)))
+      let lb = reader () in
+      let replies =
+        List.init 5 (fun _ -> String.concat "\n" (frame fd lb))
       in
       let shed = ref 0 in
       List.iteri
@@ -391,7 +407,7 @@ let shed_keeps_reply_order () =
               (Printf.sprintf "frame %d answers eps=0.0%d" k k)
               true
               (contains ~sub:(Printf.sprintf "eps-charged=0.0%d " k) line))
-        (replies []);
+        replies;
       Alcotest.(check bool) "some lines shed" true (!shed > 0);
       Alcotest.(check bool) "queued lines answered without idle waits" true
         (Unix.gettimeofday () -. t0 < 2.);
@@ -404,7 +420,7 @@ let idle_timeout_slow_loris () =
   let config = { default_test_config with idle_timeout_s = 0.3 } in
   with_server ~config (fun _eng port ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       (* dribble a never-terminated line: bytes flow, but no request
          ever completes, so the idle clock must not reset *)
       let deadline = Unix.gettimeofday () +. 5. in
@@ -436,7 +452,7 @@ let drain_flushes_inflight () =
   let srv = ok (Server.create ~config:default_test_config eng) in
   let th = Thread.create Server.run srv in
   let fd = connect (Server.port srv) in
-  let lb = Linebuf.create () in
+  let lb = reader () in
   send fd "query demo mean(score) eps=0.1\n";
   (* let the select loop pick the request up — drain deliberately stops
      reading, so a request still in the socket buffer is the client's
@@ -471,7 +487,7 @@ let drain_refuses_new_conns () =
   (match connect port with
   | fd ->
       (* a TIME_WAIT race may accept the connect; reads must then EOF *)
-      let lb = Linebuf.create () in
+      let lb = reader () in
       (match read_frame ~timeout:1. fd lb with
       | `Eof | `Timeout -> ()
       | `Frame _ -> Alcotest.fail "drained server answered a new conn");
@@ -551,7 +567,7 @@ let client_retries_through_restart () =
       Thread.join th2)
     (fun () ->
       let fd = connect port in
-      let lb = Linebuf.create () in
+      let lb = reader () in
       send fd "help\n";
       (match frame fd lb with
       | first :: _ ->
@@ -583,6 +599,8 @@ let () =
           Alcotest.test_case "two clients" `Quick tcp_two_clients;
           Alcotest.test_case "oversized split over segments" `Quick
             tcp_oversized_split;
+          Alcotest.test_case "pipelined replies not delayed" `Quick
+            tcp_pipelined_replies_prompt;
         ] );
       ( "admission",
         [
