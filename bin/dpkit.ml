@@ -262,8 +262,7 @@ let serve_cmd =
       idle_timeout request_deadline workers =
     let net port =
       {
-        Dp_net.Server.default_config with
-        port;
+        Dp_net.Server.port;
         max_conns;
         max_inflight;
         idle_timeout_s = idle_timeout;
@@ -359,8 +358,8 @@ let serve_cmd =
               match Dp_net.Server.create ~config:(net port) eng with
               | Error msg -> `Error (false, "cannot listen: " ^ msg)
               | Ok srv -> (
-                  (* a flag flip is all a handler may do; the select
-                     loop sees it on its next turn (EINTR included) *)
+                  (* a flag flip is all a handler may do; the signal
+                     ends the loop's wait and the turn sees the flag *)
                   let stop _ = Dp_net.Server.request_stop srv in
                   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
                   Sys.set_signal Sys.sigint (Sys.Signal_handle stop);

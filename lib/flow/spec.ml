@@ -206,8 +206,9 @@ let domain_of_module m =
   | _ -> None
 
 (* modules that live inside a domain's directory but are shared
-   infrastructure: passing a stream to them is not a crossing *)
-let neutral_modules = [ "Faults" ]
+   infrastructure (Poll takes only fds and ints): passing a stream to
+   them is not a crossing *)
+let neutral_modules = [ "Faults"; "Poll" ]
 
 (* process entry points inside a domain: a forked pool worker wires its
    engine into its Server exactly as bin/ does for one process *)

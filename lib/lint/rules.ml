@@ -2,8 +2,9 @@
    is deliberately scoped by path segment: an invariant like "no
    catch-all handlers" is meaningless outside the serving engine, and
    keeping scopes tight keeps false positives near zero. Invariants
-   that need dataflow — charge before release, gate before release,
-   RNG provenance — are the flow analyzer's F2/F3 (lib/flow). *)
+   that need dataflow — raw rows reaching an output, charge before
+   release, gate before release, RNG provenance — are the flow
+   analyzer's F1/F2/F3 (lib/flow). *)
 
 type ctx = {
   file : string;  (** path as reported, '/'-separated *)
@@ -26,9 +27,6 @@ let all =
     ( "R5",
       "no catch-all exception handlers in lib/engine — a swallowed \
        exception can release an answer whose charge failed" );
-    ( "R6",
-      "no printing of raw dataset values in lib/engine serving paths — \
-       only noised answers may reach an output channel" );
     ( "R7",
       "metric and span labels come from the closed Dp_obs.Name catalogue — \
        in lib/engine, lib/mechanism and lib/net, never build a label string \
@@ -179,42 +177,6 @@ let r5 ctx =
     List.rev !out
   end
 
-(* R6 ------------------------------------------------------------- *)
-
-let print_heads =
-  [
-    "Printf"; "Format"; "print_string"; "print_endline"; "print_float";
-    "print_int"; "prerr_string"; "prerr_endline"; "output_string";
-  ]
-
-(* A bounded token window approximates "the print's arguments": wide
-   enough for `Printf.sprintf fmt (f c.values)`, narrow enough not to
-   leak across statements — and a `;` ends the arguments for sure. *)
-let r6_window = 14
-
-let r6 ctx =
-  if not (has_seg ctx "engine" && is_ml ctx) then []
-  else begin
-    let out = ref [] in
-    Array.iteri
-      (fun i (t : Lexer.token) ->
-        if List.mem t.text print_heads then
-          let hit = ref false in
-          let j = ref (i + 1) in
-          while !j <= i + r6_window && tok ctx !j <> ";" do
-            if tok ctx !j = "values" then hit := true;
-            incr j
-          done;
-          if !hit then
-            out :=
-              finding ctx "R6" i
-                "raw dataset values reach an output channel; only noised \
-                 answers may be printed"
-              :: !out)
-      ctx.tokens;
-    List.rev !out
-  end
-
 (* R7 ------------------------------------------------------------- *)
 
 (* A metrics/span record call is `Module.fn args...` where Module is an
@@ -222,9 +184,9 @@ let r6 ctx =
    must be Dp_obs.Name constructors, so any string-building token among
    the arguments means a label (or tag key) is being assembled from
    runtime data — exactly the side channel the closed catalogue exists
-   to rule out. The window mirrors R6: bounded, and a `;` ends the
-   arguments for sure. String literals never trip the rule (the lexer
-   strips them); only the *building* of strings does. *)
+   to rule out. The window is bounded, and a `;` ends the arguments
+   for sure. String literals never trip the rule (the lexer strips
+   them); only the *building* of strings does. *)
 
 let obs_modules = [ "Metrics"; "Span"; "Obs"; "Dp_obs"; "Trace"; "Draws" ]
 
@@ -275,4 +237,4 @@ let r7 ctx =
     List.rev !out
   end
 
-let run ctx = List.concat [ r1 ctx; r4 ctx; r5 ctx; r6 ctx; r7 ctx ]
+let run ctx = List.concat [ r1 ctx; r4 ctx; r5 ctx; r7 ctx ]

@@ -1,12 +1,12 @@
 (** The named privacy-invariant rules.
 
-    Token-level rules (R1, R4, R5, R6, R7) run per file via {!run}; the
+    Token-level rules (R1, R4, R5, R7) run per file via {!run}; the
     interface-coverage rule (R3) runs once over the scanned file set
-    via {!r3}. Scoping is by path segment — e.g. R5/R6 only fire in
+    via {!r3}. Scoping is by path segment — e.g. R5 only fires in
     [lib/engine], R7 in [lib/engine], [lib/mechanism] and [lib/net] —
-    see {!all} for the catalogue. Charge-before-release and RNG
-    provenance are dataflow properties, checked by [dpkit flow] (F2,
-    F3); the ids R2, R8 and R9 are retired. *)
+    see {!all} for the catalogue. Raw rows reaching an output, charge-
+    before-release and RNG provenance are dataflow properties, checked
+    by [dpkit flow] (F1, F2, F3); the ids R2, R6, R8, R9 are retired. *)
 
 type ctx = {
   file : string;  (** path as reported, '/'-separated *)

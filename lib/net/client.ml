@@ -69,16 +69,13 @@ let read_frame cfg w =
     | [] ->
         let left = deadline -. now_s () in
         if left <= 0. then Error "reply timeout"
+        else if not (Poll.wait_readable w.fd left) then go acc []
         else (
-          match Unix.select [ w.fd ] [] [] left with
-          | [], _, _ -> Error "reply timeout"
-          | _ -> (
-              match Unix.read w.fd buf 0 (Bytes.length buf) with
-              | 0 -> Error "connection closed mid-reply"
-              | n -> go acc (Linebuf.feed w.lb buf 0 n)
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc []
-              | exception Unix.Unix_error (e, _, _) ->
-                  Error (Unix.error_message e)))
+          match Unix.read w.fd buf 0 (Bytes.length buf) with
+          | 0 -> Error "connection closed mid-reply"
+          | n -> go acc (Linebuf.feed w.lb buf 0 n)
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go acc []
+          | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e))
   in
   match go [] [] with
   | Ok (lines, leftover) ->

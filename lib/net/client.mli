@@ -26,7 +26,7 @@ type config = {
   attempts : int;  (** per request *)
   backoff_s : float;  (** backoff base *)
   cap_s : float;  (** backoff cap *)
-  reply_timeout_s : float;  (** select timeout for one reply frame *)
+  reply_timeout_s : float;  (** deadline for one whole reply frame *)
   jitter : Dp_rng.Prng.t option;
       (** full-jitter stream; [None] = deterministic un-jittered
           backoff (tests). Never a privacy stream. *)

@@ -30,5 +30,5 @@ type received = {
 val recv : Unix.file_descr -> received option
 (** Receive one datagram; [None] means the peer closed the channel (a
     zero-length read with no descriptor — empty datagrams are never
-    sent). Blocks until a message arrives; use [Unix.select] on the
-    channel fd to poll. *)
+    sent). Blocks until a message arrives; wait on the channel fd with
+    {!Poll} first to avoid blocking. *)

@@ -1,8 +1,8 @@
 (** Incremental bounded line reassembly for non-blocking sockets.
 
     The stdio server's bounded reader ({!Dp_engine.Protocol.serve})
-    pulls one character at a time from an [in_channel]; a [select] loop
-    gets whole TCP segments instead, and a request line may arrive
+    pulls one character at a time from an [in_channel]; an event loop
+    ({!Server}) gets whole TCP segments instead, and a request line may arrive
     split across many of them. This buffer reassembles newline-
     terminated lines across segment boundaries while keeping the same
     memory bound as the stdio reader: at most

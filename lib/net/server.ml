@@ -2,26 +2,24 @@ open Dp_engine
 
 type config = {
   port : int;
-  backlog : int;
   max_conns : int;
   max_inflight : int;
-  max_append_inflight : int;
   idle_timeout_s : float;
   reply_deadline_s : float;
-  retry_after_base_ms : int;
 }
 
 let default_config =
   {
     port = 0;
-    backlog = 64;
     max_conns = 64;
     max_inflight = 128;
-    max_append_inflight = 32;
     idle_timeout_s = 30.;
     reply_deadline_s = 10.;
-    retry_after_base_ms = 50;
   }
+
+(* fixed for every server: the listen backlog, the append-flood shed
+   watermark (see [handle_line]) and the base of the retry-after hint *)
+let backlog = 64 and max_append_inflight = 32 and retry_after_base_ms = 50
 
 (* A connection's queue holds its request lines in arrival order: an
    admitted line waiting to execute, or a line shed at admission whose
@@ -49,12 +47,23 @@ type conn = {
   mutable req_start_ns : int;  (** 0 = no request being served *)
   accept_ns : int;
   mutable replied : bool;  (** first reply fully flushed *)
+  mutable slot : int;  (** this turn's {!Poll} slot; -1 = not waited on *)
+}
+
+(* A listener keeps one spare descriptor open. At the descriptor limit
+   (EMFILE/ENFILE) accept fails and leaves the connection in the
+   backlog, so the listener stays readable and the loop would spin:
+   the spare is closed to make room, that connection is accepted and
+   shed with a typed reply, and the spare is reopened. *)
+type listener = {
+  sock : Unix.file_descr;
+  mutable spare : Unix.file_descr option;
 }
 
 type t = {
   eng : Engine.t;
   cfg : config;
-  mutable listener : Unix.file_descr option;  (** None: detached or draining *)
+  mutable listener : listener option;  (** None: detached or draining *)
   port : int;
   scope : Dp_obs.Metrics.scope;
   faults : Faults.t;
@@ -76,21 +85,60 @@ let detached ?(config = default_config) eng =
     stopping = false;
   }
 
-let create ?(config = default_config) eng =
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let open_spare () =
+  try Some (Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0)
+  with Unix.Unix_error _ -> None
+
+let listen ~port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   match
     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, config.port));
-    Unix.listen fd config.backlog;
+    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    Unix.listen fd backlog;
     Unix.set_nonblock fd;
-    (match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> config.port)
+    (match Unix.getsockname fd with Unix.ADDR_INET (_, p) -> p | _ -> port)
   with
-  | port -> Ok { (detached ~config eng) with listener = Some fd; port }
+  | port -> Ok ({ sock = fd; spare = open_spare () }, port)
   | exception Unix.Unix_error (e, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
+      close_quietly fd;
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+
+let listener_fd l = l.sock
+
+let close_listener l =
+  close_quietly l.sock;
+  Option.iter close_quietly l.spare;
+  l.spare <- None
+
+(* the fd limit says nothing about queue depth: the hint is the base *)
+let shed_reply =
+  Bytes.of_string
+    (Printf.sprintf "err overloaded retry-after=%d\n\n" retry_after_base_ms)
+
+let accept l =
+  match Unix.accept l.sock with
+  | fd, _ -> `Conn fd
+  | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+      Option.iter close_quietly l.spare;
+      let shed =
+        match Unix.accept l.sock with
+        | fd, _ ->
+            (try ignore (Unix.write fd shed_reply 0 (Bytes.length shed_reply))
+             with Unix.Unix_error _ -> ());
+            close_quietly fd;
+            `Shed
+        | exception Unix.Unix_error _ -> `Again
+      in
+      l.spare <- open_spare ();
+      shed
+  | exception Unix.Unix_error _ -> `Again
+
+let create ?(config = default_config) eng =
+  Result.map
+    (fun (l, port) -> { (detached ~config eng) with listener = Some l; port })
+    (listen ~port:config.port)
 
 let port t = t.port
 let conn_count t = List.length t.conns
@@ -113,7 +161,7 @@ let depth t =
     0 t.conns
 
 let retry_after_ms t =
-  min 60_000 (t.cfg.retry_after_base_ms * (1 + depth t))
+  min 60_000 (retry_after_base_ms * (1 + depth t))
 
 let overloaded_line t =
   Printf.sprintf "err overloaded retry-after=%d" (retry_after_ms t)
@@ -135,7 +183,7 @@ let queue_frame ?(terminated = true) c lines =
 let close_conn t reason c =
   if not c.closed then begin
     c.closed <- true;
-    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    close_quietly c.fd;
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
     (match reason with
     | `Normal -> ()
@@ -159,6 +207,7 @@ let mk_conn fd =
     req_start_ns = 0;
     accept_ns = Dp_obs.Clock.now_ns ();
     replied = false;
+    slot = -1;
   }
 
 (* Admission for every connection, accepted or adopted: past
@@ -182,15 +231,12 @@ let adopt t fd =
 
 (* an injected accept-fail leaves the connection in the kernel backlog
    for a later turn *)
-let accept_phase t listener =
+let accept_phase t l =
   if not (Faults.fire t.faults Faults.Accept_fail) then
-    match Unix.accept listener with
-    | fd, _ -> adopt t fd
-    | exception
-        Unix.Unix_error
-          ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ECONNABORTED | Unix.EINTR), _, _)
-      ->
-        ()
+    match accept l with
+    | `Conn fd -> adopt t fd
+    | `Shed -> Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed
+    | `Again -> ()
 
 (* Append floods shed at a lower watermark than everything else: each
    append costs a journal fsync, so a firehose of them would occupy the
@@ -207,7 +253,7 @@ let handle_line t c (l : Linebuf.line) =
   c.last_request <- now_s ();
   let bound =
     if is_append_line l.Linebuf.text then
-      min t.cfg.max_append_inflight t.cfg.max_inflight
+      min max_append_inflight t.cfg.max_inflight
     else t.cfg.max_inflight
   in
   if depth t >= bound then begin
@@ -343,8 +389,8 @@ let next_wakeup t =
       Float.min acc (Float.max 0.01 (e -. now)))
     1.0 t.conns
 
-let close_listener t =
-  Option.iter (fun l -> try Unix.close l with Unix.Unix_error _ -> ()) t.listener;
+let stop_listening t =
+  Option.iter close_listener t.listener;
   t.listener <- None
 
 let publish_gauges t =
@@ -355,10 +401,11 @@ let publish_gauges t =
 
 let run ?exec ?control t =
   let exec = Option.value exec ~default:(Protocol.exec t.eng) in
+  let poll = Poll.create () in
   let rec loop () =
     (* graceful drain: stop accepting and stop reading; finish what is
        already in the pipeline, flush it, then leave *)
-    if t.stopping then close_listener t;
+    if t.stopping then stop_listening t;
     (* published every turn, including the one that completes the
        drain, so the final metrics snapshot reads 0 *)
     publish_gauges t;
@@ -377,19 +424,17 @@ let run ?exec ?control t =
           t.conns;
       if t.stopping && t.conns = [] then ()
       else begin
-        let reads =
-          Option.to_list t.listener
-          @ (match control with Some (fd, _) -> [ fd ] | None -> [])
-          @ List.filter_map
-              (fun c ->
-                if c.closed || c.eof || t.stopping then None else Some c.fd)
-              t.conns
-        in
-        let writes =
-          List.filter_map
-            (fun c -> if (not c.closed) && has_output c then Some c.fd else None)
-            t.conns
-        in
+        Poll.clear poll;
+        let add fd = Poll.add poll fd ~read:true ~write:false in
+        let lslot = match t.listener with Some l -> add l.sock | None -> -1 in
+        let cslot = match control with Some (fd, _) -> add fd | None -> -1 in
+        List.iter
+          (fun c ->
+            c.slot <-
+              Poll.add poll c.fd
+                ~read:(not (c.eof || t.stopping))
+                ~write:(has_output c))
+          t.conns;
         (* pipelined entries already queued wait for no fd: only a
            turn with nothing runnable may sleep *)
         let timeout =
@@ -397,19 +442,16 @@ let run ?exec ?control t =
           else if t.stopping then 0.02
           else Float.min (next_wakeup t) (if control = None then 1.0 else 0.25)
         in
-        let r, _, _ =
-          try Unix.select reads writes [] timeout
-          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        Option.iter (fun l -> if List.mem l r then accept_phase t l) t.listener;
-        Option.iter (fun (fd, service) -> service (List.mem fd r)) control;
-        List.iter
-          (fun c -> if List.mem c.fd r then read_phase t c)
-          t.conns;
+        Poll.wait poll timeout;
+        let ready = Poll.readable poll in
+        if ready lslot then Option.iter (accept_phase t) t.listener;
+        Option.iter (fun (_, service) -> service (ready cslot)) control;
+        (* conns adopted this turn have no slot yet *)
+        List.iter (fun c -> if ready c.slot then read_phase t c) t.conns;
         List.iter (fun c -> exec_phase t exec c) t.conns;
-        (* opportunistic: try every pending reply, not just the fds
-           select confirmed — EAGAIN is handled, and replies queued this
-           turn would otherwise wait a full loop *)
+        (* opportunistic: try every pending reply, not only those the
+           wait saw writable — EAGAIN is handled, and replies queued
+           this turn would otherwise wait a full loop *)
         List.iter (fun c -> write_phase t c) t.conns;
         loop ()
       end

@@ -1,9 +1,10 @@
 (** Multi-client TCP frontend for the line protocol — [dpkit serve --tcp].
 
-    A single-threaded [Unix.select] loop serves many concurrent
-    connections, executing requests through {!Dp_engine.Protocol.exec}
-    verbatim — the wire dialect, error taxonomy, and privacy behaviour
-    are byte-identical to the stdio server; only the transport differs.
+    A single-threaded loop over one {!Poll} wait serves as many
+    connections as the descriptor limit allows, executing requests
+    through {!Dp_engine.Protocol.exec} verbatim — the wire dialect,
+    error taxonomy, and privacy behaviour are byte-identical to the
+    stdio server; only the transport differs.
     On the wire each request line is answered by one {e reply frame}:
     the reply lines followed by a blank line, so a client can delimit
     multi-line replies without knowing the command grammar.
@@ -20,7 +21,9 @@
       will not drain are bounded by the per-request reply deadline.
     - {b Admission control}: past [max_conns] connections or
       [max_inflight] queued work items, new arrivals are shed with
-      [err overloaded retry-after=MS]. The shed decision and the hint
+      [err overloaded retry-after=MS]. At the process's descriptor
+      limit ([EMFILE]/[ENFILE]) {!accept} sheds the same way instead
+      of failing. The shed decision and the hint
       are computed from queue depth {e only} — never ledger or budget
       state — so being shed reveals nothing about spent ε. A shed
       line's reply waits behind the replies to that connection's
@@ -39,21 +42,40 @@
 
 type config = {
   port : int;  (** 0 picks an ephemeral port; see {!port} *)
-  backlog : int;
   max_conns : int;  (** accept-time admission bound *)
-  max_inflight : int;  (** queued requests + unflushed replies bound *)
-  max_append_inflight : int;
-      (** lower shed watermark for [append] lines: a journal-fsync-heavy
-          append flood is shed before it can starve interactive queries
+  max_inflight : int;
+      (** queued requests + unflushed replies bound. [append] lines
+          shed at [min 32 max_inflight]: a journal-fsync-heavy append
+          flood is shed before it can starve interactive queries
           (decision is first-token syntax + queue depth, never budget) *)
   idle_timeout_s : float;
   reply_deadline_s : float;  (** request queued to reply flushed *)
-  retry_after_base_ms : int;  (** scales the depth-based retry hint *)
 }
 
 val default_config : config
-(** Ephemeral port, 64 conns, 128 inflight (32 for appends), 30s idle,
-    10s deadline, 50ms retry-after base. *)
+(** Ephemeral port, 64 conns, 128 inflight, 30s idle, 10s deadline.
+    Fixed for every server: a listen backlog of 64 and a retry-after
+    hint of 50 ms × (1 + queue depth). *)
+
+(** {2 The one listen/accept path, shared with the pool coordinator} *)
+
+type listener
+
+val listen : port:int -> (listener * int, string) result
+(** A non-blocking loopback listener and its bound port (resolved when
+    [port = 0]), holding one spare descriptor for {!accept}. *)
+
+val accept : listener -> [ `Conn of Unix.file_descr | `Shed | `Again ]
+(** Accept one waiting connection. At the descriptor limit
+    ([EMFILE]/[ENFILE]): release the spare, accept, send
+    [err overloaded retry-after=50] and the frame terminator, close
+    ([`Shed]), and reopen the spare. [`Again]: nothing accepted (none
+    waiting, or accept failed otherwise). *)
+
+val listener_fd : listener -> Unix.file_descr
+val close_listener : listener -> unit
+
+(** {2 Serving} *)
 
 type t
 
@@ -86,7 +108,7 @@ val run :
 
 val request_stop : t -> unit
 (** Begin graceful drain; safe to call from a signal handler (it only
-    sets a flag — the select loop notices on its next turn, including
-    via [EINTR]). *)
+    sets a flag — the signal ends the loop's {!Poll.wait}, and the loop
+    notices the flag on that turn). *)
 
 val conn_count : t -> int

@@ -22,7 +22,7 @@ type counter =
   | Draws_exponential
   | Draws_randomized_response
   | Net_conns_accepted  (** TCP connections accepted by the frontend *)
-  | Net_conns_shed  (** connections refused at accept (over max-conns) *)
+  | Net_conns_shed  (** refused at accept (max-conns or fd limit) *)
   | Net_requests  (** requests executed by the TCP frontend *)
   | Net_requests_shed  (** requests shed by the admission gate *)
   | Net_deadline_closed  (** connections closed by deadline/idle timeout *)

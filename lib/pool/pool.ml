@@ -15,6 +15,7 @@
 open Dp_engine
 module P = Dp_mechanism.Privacy
 module Fd_passing = Dp_net.Fd_passing
+module Poll = Dp_net.Poll
 module Server = Dp_net.Server
 module Metrics = Dp_obs.Metrics
 module Export = Dp_obs.Export
@@ -50,6 +51,7 @@ let default_config ~workers ~port ~journal =
     faults = Faults.none;
   }
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 let shard_journal base k = Printf.sprintf "%s.shard%d" base k
 let wal_path base = base ^ ".grants"
 let shard_metrics base k = Printf.sprintf "%s.shard%d" base k
@@ -72,7 +74,7 @@ let try_lock path =
       match Unix.lockf fd Unix.F_TLOCK 0 with
       | () -> Ok fd
       | exception Unix.Unix_error (e, _, _) ->
-          (try Unix.close fd with Unix.Unix_error _ -> ());
+          close_quietly fd;
           Error
             (Printf.sprintf "%s held by a live process (%s)" path
                (Unix.error_message e)))
@@ -372,7 +374,7 @@ let absorb_ctrl w ({ msg; fd } : Fd_passing.received) =
   let toks = split_ws msg in
   (match (fd, toks) with
   | Some cfd, "conn" :: _ -> Server.adopt w.srv cfd
-  | Some cfd, _ -> ( try Unix.close cfd with Unix.Unix_error _ -> ())
+  | Some cfd, _ -> close_quietly cfd
   | None, _ -> ());
   (match toks with
   | "doreg" :: rest -> w.doregs <- String.concat " " rest :: w.doregs
@@ -398,21 +400,18 @@ let absorb_ctrl w ({ msg; fd } : Fd_passing.received) =
 let rec await_ctrl w ~deadline_at accept =
   let remaining = deadline_at -. Unix.gettimeofday () in
   if remaining <= 0. then None
+  else if not (Poll.wait_readable w.ctrl remaining) then
+    await_ctrl w ~deadline_at accept
   else
-    match Unix.select [ w.ctrl ] [] [] remaining with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-        await_ctrl w ~deadline_at accept
-    | [], _, _ -> None
-    | _ -> (
-        match Fd_passing.recv w.ctrl with
-        | None ->
-            w.coord_gone <- true;
-            None
-        | Some received -> (
-            let msg = absorb_ctrl w received in
-            match accept msg with
-            | Some v -> Some v
-            | None -> await_ctrl w ~deadline_at accept))
+    match Fd_passing.recv w.ctrl with
+    | None ->
+        w.coord_gone <- true;
+        None
+    | Some received -> (
+        let msg = absorb_ctrl w received in
+        match accept msg with
+        | Some v -> Some v
+        | None -> await_ctrl w ~deadline_at accept)
 
 let request_lease w ~dataset ~(face : P.budget) l =
   let eps = face.P.epsilon in
@@ -591,7 +590,7 @@ type wstate = {
 type coord = {
   cfg : config;
   gen_lock : Unix.file_descr;  (** held for life; fences generations *)
-  mutable listener : Unix.file_descr option;
+  mutable listener : Server.listener option;
   wal : Grant_wal.t;
   leases : (string, Lease.t) Hashtbl.t;
   mutable reg_lines : (string * string) list;  (** newest first *)
@@ -606,9 +605,6 @@ type coord = {
   mutable restarted_n : int;
   mutable wal_appends : int;
 }
-
-let live_workers coord =
-  Array.to_list coord.cworkers |> List.filter (fun w -> w.live)
 
 let flush_pending coord assign =
   let pending = List.rev coord.pending in
@@ -641,7 +637,7 @@ let rec assign_conn coord fd =
   | None ->
       if List.length coord.pending < 64 then
         coord.pending <- fd :: coord.pending
-      else (try Unix.close fd with Unix.Unix_error _ -> ())
+      else close_quietly fd
 
 let spawn_worker coord shard =
   let cfg = coord.cfg in
@@ -661,25 +657,19 @@ let spawn_worker coord shard =
       (match Unix.fork () with
       | 0 ->
           (* child: drop every coordinator-side descriptor, then serve *)
-          (try Unix.close parent_end with Unix.Unix_error _ -> ());
-          (match coord.listener with
-          | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ());
+          close_quietly parent_end;
+          Option.iter Server.close_listener coord.listener;
           Grant_wal.close coord.wal;
           (* closing the inherited fd does not release the parent's
              fcntl lock (locks are per-process) *)
-          (try Unix.close coord.gen_lock with Unix.Unix_error _ -> ());
+          close_quietly coord.gen_lock;
           Array.iter
-            (fun w ->
-              if w.cctrl_open then
-                try Unix.close w.cctrl with Unix.Unix_error _ -> ())
+            (fun w -> if w.cctrl_open then close_quietly w.cctrl)
             coord.cworkers;
-          List.iter
-            (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-            coord.pending;
+          List.iter close_quietly coord.pending;
           worker_main cfg ~shard ~token ~ctrl:child_end
       | pid ->
-          (try Unix.close child_end with Unix.Unix_error _ -> ());
+          close_quietly child_end;
           let w = coord.cworkers.(shard) in
           w.pid <- pid;
           w.cctrl <- parent_end;
@@ -810,9 +800,7 @@ let handle_ctrl_msg coord w =
   | exception Unix.Unix_error _ -> ()
   | None -> () (* EOF; the reaper owns death *)
   | Some { msg; fd } -> (
-      (match fd with
-      | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-      | None -> ());
+      Option.iter close_quietly fd;
       match split_ws msg with
       | "reg" :: rest -> handle_reg coord w (String.concat " " rest)
       | "lease" :: toks -> (
@@ -861,7 +849,7 @@ let handle_death coord w status =
   w.live <- false;
   if w.cctrl_open then begin
     w.cctrl_open <- false;
-    try Unix.close w.cctrl with Unix.Unix_error _ -> ()
+    close_quietly w.cctrl
   end;
   let describe = function
     | Unix.WEXITED n -> Printf.sprintf "exit=%d" n
@@ -894,12 +882,9 @@ let reap coord =
         (* match on pid alone: a worker whose conn pass failed was
            already marked not-live, but it still owes a journal replay,
            lease reclaim and restart *)
-        (match
-           Array.to_list coord.cworkers
-           |> List.find_opt (fun w -> w.pid = pid)
-         with
-        | Some w -> handle_death coord w status
-        | None -> ());
+        Option.iter
+          (fun w -> handle_death coord w status)
+          (Array.find_opt (fun w -> w.pid = pid) coord.cworkers);
         go ()
     | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
@@ -1029,18 +1014,44 @@ let write_merged_metrics coord =
 let begin_drain coord =
   if not coord.draining then begin
     coord.draining <- true;
-    (match coord.listener with
-    | Some fd ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        coord.listener <- None
-    | None -> ());
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      coord.pending;
+    Option.iter Server.close_listener coord.listener;
+    coord.listener <- None;
+    List.iter close_quietly coord.pending;
     coord.pending <- [];
     Array.iter
       (fun w -> if w.live then ignore (send_ctrl w.cctrl "drain"))
       coord.cworkers
+  end
+
+(* Until the drain completes: reap, then wait at most 0.25 s on the
+   listener (none while draining) and every live worker's control
+   channel. *)
+let rec coord_loop coord poll ~stop =
+  reap coord;
+  if !stop then begin_drain coord;
+  if coord.draining && not (Array.exists (fun w -> w.live) coord.cworkers)
+  then ()
+  else begin
+    Poll.clear poll;
+    let add fd ~read = Poll.add poll fd ~read ~write:false in
+    let slots = Array.map (fun w -> add w.cctrl ~read:w.live) coord.cworkers in
+    let lslot =
+      match coord.listener with
+      | Some l -> add (Server.listener_fd l) ~read:true
+      | None -> -1
+    in
+    Poll.wait poll 0.25;
+    (match coord.listener with
+    | Some l when Poll.readable poll lslot -> (
+        match Server.accept l with
+        | `Conn fd -> assign_conn coord fd
+        | `Shed | `Again -> ())
+    | _ -> ());
+    Array.iteri
+      (fun k w ->
+        if w.live && Poll.readable poll slots.(k) then handle_ctrl_msg coord w)
+      coord.cworkers;
+    coord_loop coord poll ~stop
   end
 
 let run_locked cfg ~gen_lock ~stop =
@@ -1143,65 +1154,28 @@ let run_locked cfg ~gen_lock ~stop =
                     | _ -> ())
                   coord.leases)
               m.shards;
-            try
-              let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-              Unix.setsockopt listener Unix.SO_REUSEADDR true;
-              Unix.bind listener
-                (Unix.ADDR_INET (Unix.inet_addr_loopback, cfg.net.Server.port));
-              Unix.listen listener cfg.net.Server.backlog;
-              coord.listener <- Some listener;
-              let port =
-                match Unix.getsockname listener with
-                | Unix.ADDR_INET (_, p) -> p
-                | _ -> cfg.net.Server.port
-              in
-              for k = 0 to cfg.workers - 1 do
-                ignore (spawn_worker coord k)
-              done;
-              Printf.printf "listening port=%d workers=%d\n%!" port
-                cfg.workers;
-              let rec loop () =
-                reap coord;
-                if !stop then begin_drain coord;
-                if coord.draining && live_workers coord = [] then ()
-                else begin
-                  let fds =
-                    (match coord.listener with
-                    | Some fd when not coord.draining -> [ fd ]
-                    | _ -> [])
-                    @ List.map (fun w -> w.cctrl) (live_workers coord)
-                  in
-                  (match Unix.select fds [] [] 0.25 with
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                  | ready, _, _ ->
-                      List.iter
-                        (fun fd ->
-                          match coord.listener with
-                          | Some l when fd = l -> (
-                              match Unix.accept l with
-                              | conn, _ -> assign_conn coord conn
-                              | exception Unix.Unix_error _ -> ())
-                          | _ -> (
-                              match
-                                Array.to_list coord.cworkers
-                                |> List.find_opt (fun w ->
-                                       w.live && w.cctrl = fd)
-                              with
-                              | Some w -> handle_ctrl_msg coord w
-                              | None -> ()))
-                        ready);
-                  loop ()
-                end
-              in
-              loop ();
-              write_merged_metrics coord;
-              Grant_wal.close coord.wal;
-              (try Unix.close coord.gen_lock with Unix.Unix_error _ -> ());
-              Printf.printf "drained\n%!";
-              0
-            with Unix.Unix_error (e, fn, _) ->
-              Printf.eprintf "pool: %s: %s\n%!" fn (Unix.error_message e);
-              1))
+            match Server.listen ~port:cfg.net.Server.port with
+            | Error msg ->
+                Printf.eprintf "pool: %s\n%!" msg;
+                Grant_wal.close wal;
+                1
+            | Ok (listener, port) -> (
+              try
+                coord.listener <- Some listener;
+                for k = 0 to cfg.workers - 1 do
+                  ignore (spawn_worker coord k)
+                done;
+                Printf.printf "listening port=%d workers=%d\n%!" port
+                  cfg.workers;
+                coord_loop coord (Poll.create ()) ~stop;
+                write_merged_metrics coord;
+                Grant_wal.close coord.wal;
+                close_quietly coord.gen_lock;
+                Printf.printf "drained\n%!";
+                0
+              with Unix.Unix_error (e, fn, _) ->
+                Printf.eprintf "pool: %s: %s\n%!" fn (Unix.error_message e);
+                1)))
 
 let run cfg =
   if cfg.workers < 2 then invalid_arg "Pool.run: need at least 2 workers";
@@ -1209,7 +1183,7 @@ let run cfg =
   let stop = ref false in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> stop := true));
   Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));
-  (* wake the select loop promptly when a child dies *)
+  (* wake the loop's wait promptly when a child dies *)
   Sys.set_signal Sys.sigchld (Sys.Signal_handle (fun _ -> ()));
   (* generation fencing: no reading, re-leasing or serving while any
      process of the previous generation can still write. The WAL lock
@@ -1226,13 +1200,13 @@ let run cfg =
           match acquire_lock ~wait_s:5.0 (shard_lock_path cfg.journal k) with
           | Ok fd ->
               (* probe only: the shard's own worker takes it after fork *)
-              (try Unix.close fd with Unix.Unix_error _ -> ());
+              close_quietly fd;
               probe (k + 1)
           | Error msg -> Some msg
       in
       match probe 0 with
       | Some msg ->
-          (try Unix.close gen_lock with Unix.Unix_error _ -> ());
+          close_quietly gen_lock;
           Printf.eprintf "pool: worker lock: %s — refusing to serve\n%!" msg;
           1
       | None -> run_locked cfg ~gen_lock ~stop)

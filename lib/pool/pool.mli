@@ -2,8 +2,9 @@
     listener, forks N engine workers, and arbitrates the global ε
     budget between them with fenced leases.
 
-    Topology: the coordinator accepts connections and passes each
-    descriptor ({!Dp_net.Fd_passing}) to a live worker round-robin.
+    Topology: the coordinator accepts through the server's own
+    {!Dp_net.Server.accept} and passes each descriptor
+    ({!Dp_net.Fd_passing}) to a live worker round-robin.
     Every worker serves them through {!Dp_net.Server} (every defence of
     [dpkit serve --tcp], per worker), services its control channel from
     that loop, runs the full {!Dp_engine.Protocol} against its own shard
@@ -47,8 +48,8 @@ type config = {
   seed : int;  (** engine seed for every worker (default 20120330) *)
   workers : int;  (** shard count, ≥ 2 (N=1 is plain [dpkit serve]) *)
   net : Dp_net.Server.config;
-      (** the coordinator's listener [port] and [backlog]; the other
-          limits apply per worker *)
+      (** the coordinator's listener [port]; the other limits apply per
+          worker *)
   journal : string;
       (** base path; shard [k] journals to [.shard<k>], the grant WAL
           to [.grants], merged metrics shards to [<metrics>.shard<k>] *)

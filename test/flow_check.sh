@@ -3,7 +3,7 @@
 # flow_corpus/ — findings the token linter provably misses — with a
 # witness path, (2) leave `dpkit lint` silent on that same corpus,
 # (3) under `lint --flow`, report F2/F3 on the lexical corpus files
-# of the retired R2/R8/R9, (4) honour rule-range exemptions and the
+# of the retired R2/R8/R9, and F1 on retired R6's, (4) honour rule-range exemptions and the
 # checked-in baseline, and (5) report nothing fresh on the
 # repository's own sources.
 set -u
@@ -82,6 +82,13 @@ for pair in "bad_r2.ml F2" "bad_r8.ml F2" "bad_r9.ml F3"; do
     exit 1
   fi
 done
+# lint --flow passes only F2/F3 through; R6's case is dpkit flow's F1
+out=$("$DPKIT" flow --format json lint_corpus)
+if ! printf '%s\n' "$out" | grep '"rule":"F1"' | grep -q "bad_r6.ml"; then
+  echo "FAIL: dpkit flow did not report F1 on bad_r6.ml"
+  printf '%s\n' "$out"
+  exit 1
+fi
 
 # --- 4. a rule-range exemption silences the whole family -----------
 ex=$(mktemp)
@@ -121,4 +128,4 @@ case "$real" in
 esac
 
 echo "flow: 10/10 corpus violations flagged with witnesses, lint blind to all,"
-echo "      lint --flow parity holds, range exemptions + baseline honoured"
+echo "      lint --flow and F1 parity hold, range exemptions + baseline honoured"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # dpkit lint must (1) flag every seeded violation in lint_corpus/ with
-# the expected rule id — one finding per live rule, six total (the
-# retired R2/R8/R9 files are flow_check.sh's) — (2) honour per-rule
+# the expected rule id — one finding per live rule, five total (the
+# retired R2/R6/R8/R9 files are flow_check.sh's) — (2) honour per-rule
 # exemptions, and (3) report zero findings on the repository itself.
 set -u
 
@@ -13,7 +13,7 @@ if [ $? -eq 0 ]; then
   exit 1
 fi
 
-for r in R1 R3 R4 R5 R6 R7; do
+for r in R1 R3 R4 R5 R7; do
   if ! printf '%s\n' "$out" | grep -q "\"rule\":\"$r\""; then
     echo "FAIL: rule $r did not fire on its corpus file"
     printf '%s\n' "$out"
@@ -22,8 +22,8 @@ for r in R1 R3 R4 R5 R6 R7; do
 done
 
 n=$(printf '%s\n' "$out" | grep -c '"rule"')
-if [ "$n" -ne 6 ]; then
-  echo "FAIL: expected exactly 6 corpus findings, got $n"
+if [ "$n" -ne 5 ]; then
+  echo "FAIL: expected exactly 5 corpus findings, got $n"
   printf '%s\n' "$out"
   exit 1
 fi
@@ -34,7 +34,7 @@ printf 'R7 bad_r7.ml\n' > "$ex"
 out2=$("$DPKIT" lint --format json --exempt "$ex" lint_corpus)
 rm -f "$ex"
 n2=$(printf '%s\n' "$out2" | grep -c '"rule"')
-if [ "$n2" -ne 5 ] || printf '%s\n' "$out2" | grep -q '"rule":"R7"'; then
+if [ "$n2" -ne 4 ] || printf '%s\n' "$out2" | grep -q '"rule":"R7"'; then
   echo "FAIL: R7 exemption did not suppress exactly the R7 finding"
   printf '%s\n' "$out2"
   exit 1
@@ -45,4 +45,4 @@ if ! "$DPKIT" lint --exempt ../lint.exempt ..; then
   exit 1
 fi
 
-echo "lint: 6/6 corpus violations flagged, R7 exemptable, repository clean"
+echo "lint: 5/5 corpus violations flagged, R7 exemptable, repository clean"

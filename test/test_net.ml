@@ -117,7 +117,6 @@ let default_test_config =
     Server.default_config with
     idle_timeout_s = 10.;
     reply_deadline_s = 10.;
-    retry_after_base_ms = 7;
   }
 
 let with_server ?(config = default_test_config) ?(faults = Faults.none) f =

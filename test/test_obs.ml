@@ -416,6 +416,33 @@ let test_engine_obs_off () =
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "disabled dump must still parse: %s" msg
 
+(* Spans and histograms are meant to allocate nothing, so an uncached
+   submit allocates exactly as many minor words with observability on
+   as off. Allocation is deterministic where the timed overhead gate
+   (bench/main.exe --overhead) is not. *)
+let test_obs_allocates_nothing () =
+  let words_per_submit obs =
+    let eng = Engine.create ~seed:11 ~audit:false ~obs () in
+    let policy =
+      {
+        (Registry.default_policy ~total:(Privacy.pure 1e12)) with
+        Registry.default_epsilon = 1e-4;
+        cache = false;
+      }
+    in
+    (match Engine.register_synthetic eng ~name:"demo" ~rows:1000 ~policy with
+    | Ok _ -> ()
+    | Error msg -> Alcotest.failf "register_synthetic: %s" msg);
+    for _ = 1 to 50 do ignore (submit_ok eng "count(age>40)") done;
+    let before = Gc.minor_words () in
+    for _ = 1 to 2000 do ignore (submit_ok eng "count(age>40)") done;
+    (Gc.minor_words () -. before) /. 2000.
+  in
+  let off = words_per_submit false in
+  Alcotest.(check (float 0.))
+    "minor words per uncached submit, obs on = obs off" off
+    (words_per_submit true)
+
 let test_closed_labels () =
   let eng = demo_engine () in
   ignore (submit_ok eng "count(income>50000)");
@@ -524,6 +551,8 @@ let () =
           Alcotest.test_case "metrics agree with report" `Quick
             test_engine_metrics_agree_with_report;
           Alcotest.test_case "obs off" `Quick test_engine_obs_off;
+          Alcotest.test_case "obs allocates nothing" `Quick
+            test_obs_allocates_nothing;
           Alcotest.test_case "closed labels" `Quick test_closed_labels;
           Alcotest.test_case "protocol metrics+status" `Quick
             test_protocol_metrics;
