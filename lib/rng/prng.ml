@@ -1,4 +1,20 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3 as four native-endian 64-bit words in
+   one 32-byte buffer. Reading and writing the words in place keeps the
+   int64 arithmetic unboxed; four mutable int64 fields would box a
+   fresh value on every write. Offsets are always 0, 8, 16 and 24 of a
+   32-byte buffer, so the unchecked accessors stay in bounds. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let make s0 s1 s2 s3 =
+  let g = Bytes.create 32 in
+  set g 0 s0;
+  set g 8 s1;
+  set g 16 s2;
+  set g 24 s3;
+  g
 
 (* SplitMix64: used only to expand a seed into the xoshiro state. *)
 let splitmix64 state =
@@ -18,34 +34,38 @@ let of_seed64 seed64 =
   (* All-zero state is invalid for xoshiro; SplitMix64 cannot produce
      four zero outputs in a row, but guard anyway. *)
   if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+    make 1L 2L 3L 4L
+  else make s0 s1 s2 s3
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let uint64 g =
+let[@inline] next g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = get g 0 and s1 = get g 8 and s2 = get g 16 and s3 = get g 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set g 0 s0;
+  set g 8 s1;
+  set g 16 (logxor s2 t);
+  set g 24 (rotl s3 45);
   result
 
-let split g = of_seed64 (uint64 g)
+let uint64 g = next g
+
+let split g = of_seed64 (next g)
 
 let float g =
   (* Top 53 bits -> [0, 1). *)
-  let bits = Int64.shift_right_logical (uint64 g) 11 in
-  Int64.to_float bits *. 0x1.0p-53
+  Int64.to_float (Int64.shift_right_logical (next g) 11) *. 0x1.0p-53
 
 let rec float_pos g =
   let u = float g in
@@ -56,7 +76,7 @@ let int g n =
   (* Rejection sampling on the top bits to avoid modulo bias. *)
   let n64 = Int64.of_int n in
   let rec go () =
-    let r = Int64.shift_right_logical (uint64 g) 1 in
+    let r = Int64.shift_right_logical (next g) 1 in
     (* 63-bit nonneg *)
     let v = Int64.rem r n64 in
     if Int64.sub r v > Int64.sub (Int64.sub Int64.max_int n64) 1L then go ()
@@ -64,4 +84,4 @@ let int g n =
   in
   go ()
 
-let bool g = Int64.logand (uint64 g) 1L = 1L
+let bool g = Int64.logand (next g) 1L = 1L
