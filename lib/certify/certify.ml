@@ -298,10 +298,8 @@ let scalar_value (ds : Registry.dataset) query =
       Some
         (float_of_int
            (Synopsis.count (Registry.synopsis ds (col column)) op threshold))
-  | Query.Sum { column } ->
-      Some (Dp_math.Summation.sum (col column).Registry.values)
-  | Query.Mean { column } ->
-      Some (Dp_math.Summation.mean (col column).Registry.values)
+  | Query.Sum { column } -> Some (Registry.synopsis ds (col column)).sum
+  | Query.Mean { column } -> Some (Synopsis.mean (Registry.synopsis ds (col column)))
   | _ -> None
 
 (* The quantile's exponential mechanism picks gap k between order

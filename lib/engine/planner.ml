@@ -210,8 +210,8 @@ let runner (ds : Registry.dataset) (sp : spec) =
     | Some c -> c
     | None -> invalid_arg ("Planner.runner: missing column " ^ name)
   in
-  (* count, histogram, cdf and quantile read the column only in sorted
-     order: they are answered by rank from its synopsis *)
+  (* every face reads the column only through its sorted order or its
+     sum: it is answered from the column's synopsis *)
   let synopsis name = Registry.synopsis ds (col name) in
   match sp.query with
   | Query.Count pred ->
@@ -224,11 +224,11 @@ let runner (ds : Registry.dataset) (sp : spec) =
       integer_run s ~epsilon ~isens:1 ~value
   | Query.Sum { column } ->
       let lap = Laplace.create ~sensitivity:sp.sensitivity ~epsilon in
-      let value = Dp_math.Summation.sum (col column).values in
+      let value = (synopsis column).sum in
       fun g -> Scalar (Laplace.release lap ~value g)
   | Query.Mean { column } ->
       let lap = Laplace.create ~sensitivity:sp.sensitivity ~epsilon in
-      let value = Dp_math.Summation.mean (col column).values in
+      let value = Synopsis.mean (synopsis column) in
       fun g -> Scalar (Laplace.release lap ~value g)
   | Query.Histogram { column; bins } ->
       let noisy = cell_run s ~epsilon (Synopsis.histogram (synopsis column) ~bins) in
@@ -240,7 +240,7 @@ let runner (ds : Registry.dataset) (sp : spec) =
       fun g ->
         Scalar
           (Dp_learn.Quantile.estimate_sorted ~epsilon ~q ~lo:sy.lo ~hi:sy.hi
-             ~log_gaps:sy.log_gaps sy.sorted g)
+             sy.sorted g)
   | Query.Cdf { column; points } ->
       let sy = synopsis column in
       (* Cell counts between consecutive thresholds; noising the cells

@@ -1,9 +1,12 @@
-type t = { sorted : float array; log_gaps : float array; lo : float; hi : float }
+type t = { sorted : float array; sum : float; lo : float; hi : float }
 
 let build ~lo ~hi values =
   let sorted = Array.copy values in
   Array.stable_sort Float.compare sorted;
-  { sorted; log_gaps = Dp_learn.Quantile.gap_log_lengths ~lo ~hi sorted; lo; hi }
+  { sorted; sum = Dp_math.Summation.sum values; lo; hi }
+
+(* as [Summation.mean] divides the same sum, so means stay bit-identical *)
+let mean t = t.sum /. float_of_int (Array.length t.sorted)
 
 (* The first index whose value satisfies [p], for a [p] that is false
    then true along the sorted order; [n] when it never holds. *)

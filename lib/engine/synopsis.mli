@@ -1,25 +1,31 @@
-(** Sorted-column synopses: a column's values in sorted order plus the
-    quantile mechanism's per-gap log-lengths, and the rank queries the
-    planner answers from them.
+(** Column synopses: a column's values in sorted order plus their sum,
+    and the rank queries the planner answers from them.
 
     Count, histogram and cdf depend on a column only through its sorted
-    order, and the quantile's exponential mechanism only through its
-    order statistics and gap lengths, so one O(n log n) build replaces
-    a per-release scan or sort. Every answer is computed with the same
-    float comparisons the scan made, so the counts — and therefore the
-    releases — are exactly the scan's. *)
+    order, the quantile's exponential mechanism only through its order
+    statistics, and sum and mean only through the sum, so one
+    O(n log n) build replaces a per-release scan or sort. Every answer
+    is computed with the same float operations the scan made, so the
+    counts and sums — and therefore the releases — are exactly the
+    scan's. *)
 
 type t = private {
   sorted : float array;  (** the column, sorted by [compare] *)
-  log_gaps : float array;
-      (** [Dp_learn.Quantile.gap_log_lengths ~lo ~hi sorted] *)
+  sum : float;
+      (** [Dp_math.Summation.sum] of the column in registration order,
+          taken before the sort *)
   lo : float;
   hi : float;
 }
 
 val build : lo:float -> hi:float -> float array -> t
 (** [build ~lo ~hi values] sorts a copy of [values], which must be
-    finite and already clamped into [\[lo, hi\]]. *)
+    finite and already clamped into [\[lo, hi\]], and sums [values]
+    as given. *)
+
+val mean : t -> float
+(** [sum / n]: the [Dp_math.Summation.mean] of the column, bit for
+    bit. *)
 
 val rank_le : t -> float -> int
 (** [#{v : v <= x}], by binary search. *)

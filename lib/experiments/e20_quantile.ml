@@ -1,6 +1,6 @@
 (* E20 — private quantiles through the exponential mechanism: the
-   standard continuous-output instance of Theorem 2.3, with the exact
-   gap-mixture sampler. Utility = rank error; expected shape: rank
+   standard continuous-output instance of Theorem 2.3, drawn by the
+   exact rejection sampler over blocks of rank gaps. Utility = rank error; expected shape: rank
    error ~ O(log n / eps) independent of the data scale, and the
    Laplace-on-the-empirical-quantile strawman is far worse because its
    sensitivity is the whole data range. *)

@@ -21,26 +21,22 @@ type t = {
   errors : string list;  (** unparseable files, reported not analyzed *)
 }
 
-let skip_dirs = [ "_build"; ".git"; "_opam"; "node_modules" ]
-
 let modname_of_path path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-(* Enumerate .ml files under a root (or accept a single .ml file),
-   sorted for deterministic analysis and report order. *)
+(* The .ml files under a root, through the linter's walk so that both
+   tools skip the same directories, or a single .ml file; sorted for
+   deterministic analysis and report order. *)
 let scan_path root =
-  let rec walk abs acc =
-    match Sys.is_directory abs with
-    | exception Sys_error _ -> acc
-    | false -> if Filename.check_suffix abs ".ml" then abs :: acc else acc
-    | true ->
-        if List.mem (Filename.basename abs) skip_dirs then acc
-        else
-          Array.fold_left
-            (fun acc entry -> walk (Filename.concat abs entry) acc)
-            acc (Sys.readdir abs)
-  in
-  List.sort compare (walk root [])
+  match Sys.is_directory root with
+  | exception Sys_error _ -> []
+  | false -> if Filename.check_suffix root ".ml" then [ root ] else []
+  | true ->
+      List.filter_map
+        (fun rel ->
+          if Filename.check_suffix rel ".ml" then Some (Filename.concat root rel)
+          else None)
+        (Dp_lint.Driver.scan_dir root)
 
 let read_file path =
   let ic = open_in_bin path in

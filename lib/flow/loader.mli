@@ -16,7 +16,9 @@ type t = {
 
 val load : string list -> t
 (** Parse every .ml file under the given paths (directories or single
-    files; [_build], [.git], … skipped), in sorted path order. *)
+    files), in sorted path order. Directories are walked by
+    {!Dp_lint.Driver.scan_dir}, so [_build], [.git], [.bench_build]
+    and every other directory dune skips are skipped here too. *)
 
 val modname_of_path : string -> string
 val has_seg : file -> string -> bool

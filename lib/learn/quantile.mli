@@ -8,9 +8,10 @@
     record replacement is 1, and the quality is piecewise constant
     between sorted data points, so the output density is a mixture of
     uniforms over the n + 1 gaps. Sorting the data costs O(n log n)
-    and the gap log-lengths n logarithms; both depend on the data
-    alone, so a caller that keeps them ({!estimate_sorted}) pays only
-    the O(n) Gumbel-max draw per release. *)
+    and depends on the data alone, so a caller that keeps the sorted
+    column ({!estimate_sorted}) pays only an exact rejection draw per
+    release: O(blocks + log n) for about 2/ε-rank blocks outward from
+    the target rank, not a pass over every gap. *)
 
 val estimate :
   epsilon:float ->
@@ -27,29 +28,31 @@ val estimate :
     @raise Invalid_argument on empty data, q outside [0,1], or
     [lo >= hi]. *)
 
-val gap_log_lengths : lo:float -> hi:float -> float array -> float array
-(** [gap_log_lengths ~lo ~hi sorted]: the n + 1 gap log-lengths of
-    sorted data in [\[lo, hi\]] — gap k runs from the k-th order
-    statistic ([lo] for k = 0) to the (k+1)-th ([hi] for k = n);
-    [neg_infinity] marks an empty gap (ties). *)
-
 val estimate_sorted :
   epsilon:float ->
   q:float ->
   lo:float ->
   hi:float ->
-  log_gaps:float array ->
   float array ->
   Dp_rng.Prng.t ->
   float
-(** [estimate_sorted ~epsilon ~q ~lo ~hi ~log_gaps sorted g]: the same
-    release as {!estimate} on data that is already clamped into
-    [\[lo, hi\]] and sorted by [compare], with
-    [log_gaps = gap_log_lengths ~lo ~hi sorted]. Draws exactly what
-    {!estimate} draws on the unsorted data, so the two agree bit for
-    bit under the same generator state.
-    @raise Invalid_argument as {!estimate}, or when [log_gaps] does not
-    have n + 1 entries. *)
+(** [estimate_sorted ~epsilon ~q ~lo ~hi sorted g]: the same release
+    as {!estimate} on data that is already clamped into [\[lo, hi\]]
+    and sorted by [compare]. Draws exactly what {!estimate} draws on
+    the unsorted data, so the two agree bit for bit under the same
+    generator state.
+
+    The draw is exact, not an approximation of the mechanism: gaps are
+    grouped into blocks of ⌈2/ε⌉ ranks outward from q·n, each block's
+    envelope (its largest density times its span) is within a factor e
+    of its mass, and a uniform point of a block picked by envelope is
+    accepted with its density over the envelope's. Exponents are
+    measured from the nearest non-empty gap, so heavy ties far from
+    the target cannot underflow the weights. Blocks stop once the two
+    remaining tails' envelopes are at most 2⁻³⁰ of those found; each
+    tail is one more region. How many blocks and tries a release takes
+    depends on the data (see docs/ENGINE.md, timing).
+    @raise Invalid_argument as {!estimate}. *)
 
 val exact : q:float -> float array -> float
 (** Non-private comparison point (type-7 quantile). *)

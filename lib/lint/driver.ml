@@ -4,10 +4,15 @@ let read_file path =
   close_in ic;
   s
 
-let skip_dirs = [ "_build"; ".git"; "_opam"; "node_modules" ]
+(* Below the root, the directories dune does not build from either:
+   any name starting with '.' or '_' (_build, .git, _opam,
+   .bench_build, ...) and node_modules. *)
+let skipped name =
+  name = "node_modules" || name.[0] = '.' || name.[0] = '_'
 
 let scan_dir root =
-  (* .ml/.mli files under [root], paths relative to it, sorted *)
+  (* .ml/.mli files under [root], paths relative to it, sorted; the
+     root itself is walked whatever its name, "." included *)
   let rec walk rel acc =
     let abs = if rel = "" then root else Filename.concat root rel in
     match Sys.is_directory abs with
@@ -18,7 +23,7 @@ let scan_dir root =
         then rel :: acc
         else acc
     | true ->
-        if List.mem (Filename.basename abs) skip_dirs then acc
+        if rel <> "" && skipped (Filename.basename rel) then acc
         else
           Array.fold_left
             (fun acc entry ->

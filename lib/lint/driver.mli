@@ -1,8 +1,12 @@
 (** Walking, lexing and rule dispatch — the engine of [dpkit lint]. *)
 
 val scan_dir : string -> string list
-(** All [.ml]/[.mli] files under a directory (skipping [_build],
-    [.git], …), as sorted '/'-separated paths relative to it. *)
+(** All [.ml]/[.mli] files under a directory, as sorted '/'-separated
+    paths relative to it. Below the root it skips what dune skips:
+    every directory whose name starts with ['.'] or ['_'] ([_build],
+    [.git], [_opam], [.bench_build], …) and [node_modules]. The root
+    itself is always walked, also when it is ["."]. [dpkit flow] lists
+    its files through this walk too. *)
 
 val lint :
   ?exempt:Config.t -> root:string -> string list -> Report.finding list

@@ -521,9 +521,9 @@ let test_determinism () =
 
 (* ------------------------------------------------------------------ *)
 (* Reference release: the planner's runner as it was before column
-   synopses — every release re-scans the column (count, histogram) or
-   re-sorts it (cdf, quantile). The planner must keep releasing exactly
-   what this produces under the same PRNG state. *)
+   synopses — every release re-scans the column (count, sum, mean,
+   histogram) or re-sorts it (cdf, quantile). The planner must keep
+   releasing exactly what this produces under the same PRNG state. *)
 
 module Scan_reference = struct
   let gaussian_sigma ~l2 ~epsilon ~delta =
@@ -562,25 +562,6 @@ module Scan_reference = struct
           (fun c -> c +. float_of_int (Discrete_gaussian.sample_noise ~sigma g))
           counts
 
-  let quantile ~epsilon ~q ~lo ~hi xs g =
-    let n = Array.length xs in
-    let sorted = Array.map (Dp_math.Numeric.clamp ~lo ~hi) xs in
-    Array.sort compare sorted;
-    let target = q *. float_of_int n in
-    let exponent = epsilon /. 2. in
-    let boundaries =
-      Array.init (n + 2) (fun i ->
-          if i = 0 then lo else if i = n + 1 then hi else sorted.(i - 1))
-    in
-    let log_weights =
-      Array.init (n + 1) (fun k ->
-          let len = boundaries.(k + 1) -. boundaries.(k) in
-          if len <= 0. then neg_infinity
-          else (-.exponent *. Float.abs (float_of_int k -. target)) +. log len)
-    in
-    let k = Dp_rng.Sampler.categorical_log ~log_weights g in
-    Dp_rng.Sampler.uniform ~lo:boundaries.(k) ~hi:boundaries.(k + 1) g
-
   let run (ds : Registry.dataset) (sp : Planner.spec) g =
     let epsilon = sp.epsilon in
     let col name = Option.get (Registry.column ds name) in
@@ -609,7 +590,8 @@ module Scan_reference = struct
         Planner.Vector (Array.map (Float.max 0.) (cells ds ~epsilon counts g))
     | Query.Quantile { column; q } ->
         let c = col column in
-        Planner.Scalar (quantile ~epsilon ~q ~lo:c.lo ~hi:c.hi c.values g)
+        Planner.Scalar
+          (Dp_learn.Quantile.estimate ~epsilon ~q ~lo:c.lo ~hi:c.hi c.values g)
     | Query.Cdf { column; points } ->
         let c = col column in
         let sorted = Array.copy c.values in

@@ -248,6 +248,123 @@ let test_ridge_private () =
   Alcotest.(check bool) "gibbs mse" true (mse_of gm < 0.5)
 
 (* ------------------------------------------------------------------ *)
+(* Quantile: the rejection sampler draws the mechanism's exact law *)
+
+let sorted_clamped ~lo ~hi xs =
+  let sorted = Array.map (Dp_math.Numeric.clamp ~lo ~hi) xs in
+  Array.stable_sort Float.compare sorted;
+  sorted
+
+(* The mechanism's output CDF, computed the long way: gap k between
+   order statistics carries mass len_k * exp(-eps/2 * |k - q*n|),
+   uniform within the gap (exponents shifted by their minimum over
+   non-empty gaps, as the sampler shifts them). *)
+let quantile_cdf ~epsilon ~q ~lo ~hi sorted =
+  let n = Array.length sorted in
+  let edge j = if j = 0 then lo else if j > n then hi else sorted.(j - 1) in
+  let dist k = Float.abs (float_of_int k -. (q *. float_of_int n)) in
+  let shift = ref infinity in
+  for k = 0 to n do
+    if edge (k + 1) > edge k then shift := Float.min !shift (dist k)
+  done;
+  let mass =
+    Array.init (n + 1) (fun k ->
+        (edge (k + 1) -. edge k) *. exp (-.epsilon /. 2. *. (dist k -. !shift)))
+  in
+  let total = Dp_math.Summation.sum mass in
+  let below = Array.make (n + 2) 0. in
+  for k = 0 to n do
+    below.(k + 1) <- below.(k) +. (mass.(k) /. total)
+  done;
+  fun x ->
+    (* x's gap: the number of order statistics <= x *)
+    let k = Array.fold_left (fun acc v -> if v <= x then acc + 1 else acc) 0 sorted in
+    below.(k) +. (mass.(k) /. total *. (x -. edge k) /. (edge (k + 1) -. edge k))
+
+(* Pearson chi-square of [draws] releases against the exact law, on 50
+   bins of equal exact probability (the probability integral
+   transform). *)
+let quantile_chi2 ~epsilon ~q ~lo ~hi xs ~seed =
+  let sorted = sorted_clamped ~lo ~hi xs in
+  let cdf = quantile_cdf ~epsilon ~q ~lo ~hi sorted in
+  let bins = 50 and draws = 50_000 in
+  let observed = Array.make bins 0. in
+  let g = Dp_rng.Prng.create seed in
+  for _ = 1 to draws do
+    let x = Quantile.estimate_sorted ~epsilon ~q ~lo ~hi sorted g in
+    let b = min (bins - 1) (int_of_float (cdf x *. float_of_int bins)) in
+    observed.(b) <- observed.(b) +. 1.
+  done;
+  Dp_stats.Gof.chi_square_gof
+    ~expected:(Array.make bins (float_of_int draws /. float_of_int bins))
+    ~observed
+
+let test_quantile_exact_law () =
+  let g = Dp_rng.Prng.create 42 in
+  let uniform = Array.init 300 (fun _ -> Dp_rng.Prng.float g) in
+  (* a tight cluster with five far outliers on each side: the cluster's
+     gaps are ~1e-5 wide and the outliers' ~500, so blocks run far out *)
+  let clustered =
+    Array.init 300 (fun i ->
+        if i < 5 then 1. +. Dp_rng.Prng.float g
+        else if i < 10 then 999. -. Dp_rng.Prng.float g
+        else 500. +. (0.01 *. Dp_rng.Prng.float g))
+  in
+  (* each setting's blocks span ceil(2/eps) >= 2 ranks, so rejection
+     runs in every one; pinned statistic and p-value at seed 7 *)
+  List.iter
+    (fun (name, epsilon, q, hi, xs, statistic, p_value) ->
+      let (r : Dp_stats.Gof.result) =
+        quantile_chi2 ~epsilon ~q ~lo:0. ~hi xs ~seed:7
+      in
+      if r.p_value <= 0.001 then
+        Alcotest.failf "%s: chi2 %.3f on 49 df, p = %.3g: releases do not follow the exact law"
+          name r.statistic r.p_value;
+      check_close ~tol:1e-6 (name ^ " statistic") statistic r.statistic;
+      check_close ~tol:1e-6 (name ^ " p-value") p_value r.p_value)
+    [
+      ("uniform eps=0.05 q=0.5", 0.05, 0.5, 1., uniform, 52.506, 0.3397792);
+      ("uniform eps=0.3 q=0.1", 0.3, 0.1, 1., uniform, 43.26, 0.7040436);
+      ("clustered eps=1 q=0.5", 1., 0.5, 1000., clustered, 54.64, 0.2689427);
+      ("clustered eps=0.2 q=0.97", 0.2, 0.97, 1000., clustered, 57.164, 0.1978285);
+    ]
+
+(* Half the rows at 0 and half at 0.5 on [0, 1], q = 0: the only
+   non-empty gaps are [0, 0.5) at 4000 ranks from the target and
+   [0.5, 1) at 8000, whose mass is about e^-2000 of the total. Unshifted
+   weights would underflow to zero on both. *)
+let test_quantile_far_ties () =
+  let xs = Array.init 8000 (fun i -> if i < 4000 then 0. else 0.5) in
+  let g = Dp_rng.Prng.create 11 in
+  for _ = 1 to 1000 do
+    let x = Quantile.estimate_sorted ~epsilon:1. ~q:0. ~lo:0. ~hi:1. xs g in
+    if not (x >= 0. && x < 0.5) then
+      Alcotest.failf "release %h outside [0, 0.5)" x
+  done
+
+(* An all-equal column on a bound has one non-empty gap, [lo, hi),
+   up to n ranks from the target: every release lands in it, uniformly. *)
+let test_quantile_all_equal () =
+  let g = Dp_rng.Prng.create 12 in
+  List.iter
+    (fun (v, q) ->
+      let xs = Array.make 5000 v in
+      let draws =
+        Array.init 2000 (fun _ ->
+            Quantile.estimate_sorted ~epsilon:1. ~q ~lo:0. ~hi:1. xs g)
+      in
+      Array.iter
+        (fun x ->
+          if not (x >= 0. && x < 1.) then
+            Alcotest.failf "column at %g, q = %g: release %h outside [0, 1)" v q x)
+        draws;
+      let r = Dp_stats.Gof.ks_one_sample ~cdf:(fun x -> x) draws in
+      Alcotest.(check bool)
+        (Printf.sprintf "column at %g, q = %g: uniform (KS p = %.3g)" v q r.p_value)
+        true (r.p_value > 0.001))
+    [ (0., 0.); (0., 0.5); (0., 1.); (1., 0.); (1., 0.5); (1., 1.) ]
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_tests =
   let open QCheck in
@@ -321,6 +438,14 @@ let () =
         [
           Alcotest.test_case "fit" `Quick test_ridge;
           Alcotest.test_case "private variants" `Slow test_ridge_private;
+        ] );
+      ( "quantile",
+        [
+          Alcotest.test_case "exact law under chi-square" `Quick
+            test_quantile_exact_law;
+          Alcotest.test_case "far ties do not underflow" `Quick
+            test_quantile_far_ties;
+          Alcotest.test_case "all-equal column" `Quick test_quantile_all_equal;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

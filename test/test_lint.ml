@@ -95,6 +95,39 @@ let qcheck_tests =
         | Error _ -> false);
   ]
 
+(* --- the directory walk lint and flow share ------------------------ *)
+
+(* a.ml and sub/b.ml are sources; .bench_build/ and _build/ are build
+   trees that dune itself skips, so both tools must skip them too *)
+let test_walk_skips_build_trees () =
+  let root = Filename.temp_file "dpkit_walk" "" in
+  Sys.remove root;
+  let dirs = [ ""; "sub"; ".bench_build"; "_build" ]
+  and files = [ "a.ml"; "sub/b.ml"; ".bench_build/c.ml"; "_build/d.ml" ] in
+  let at rel = if rel = "" then root else Filename.concat root rel in
+  List.iter (fun d -> Sys.mkdir (at d) 0o755) dirs;
+  List.iter
+    (fun f ->
+      Out_channel.with_open_bin (at f) (fun oc -> output_string oc "let x = 1\n"))
+    files;
+  let flow_paths r =
+    List.map
+      (fun (f : Dp_flow.Loader.file) -> f.path)
+      (Dp_flow.Loader.load [ r ]).files
+  in
+  let sources = [ "a.ml"; "sub/b.ml" ] and cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      List.iter (fun f -> Sys.remove (at f)) files;
+      List.iter (fun d -> Sys.rmdir (at d)) (List.rev dirs))
+    (fun () ->
+      Alcotest.(check (list string)) "lint" sources (Dp_lint.Driver.scan_dir root);
+      Alcotest.(check (list string)) "flow" (List.map at sources) (flow_paths root);
+      Sys.chdir root;
+      Alcotest.(check (list string)) "lint from ." sources (Dp_lint.Driver.scan_dir ".");
+      Alcotest.(check (list string)) "flow from ." sources (flow_paths "."))
+
 let () =
   Alcotest.run "dp_lint"
     [
@@ -102,6 +135,11 @@ let () =
         [
           Alcotest.test_case "spec shapes" `Quick test_spec_shapes;
           Alcotest.test_case "rejects" `Quick test_rejects;
+        ] );
+      ( "walk",
+        [
+          Alcotest.test_case "skips build trees" `Quick
+            test_walk_skips_build_trees;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
