@@ -48,10 +48,10 @@ let parse_schema text =
             if header <> None then
               Error (Printf.sprintf "line %d: duplicate dataset line" n)
             else
-              (* exactly a live `register` line's options, so a schema
-                 prices the same service the server would run *)
+              (* exactly a live `register` line: refused when the
+                 server would refuse it, priced as the server runs it *)
               let* rows, policy =
-                at_line n (untag (Protocol.dataset_of_opts kv_toks))
+                at_line n (untag (Protocol.dataset_of_opts ~name kv_toks))
               in
               go (Some (name, rows, policy)) cols rest
         | "column" :: name :: kv_toks ->

@@ -25,8 +25,9 @@ val parse_schema : string -> (Registry.schema, string) result
                  [low-water=E] [no-cache]
     column NAME lo=L hi=H
     v}
-    The [dataset] options are exactly those of the serve protocol's
-    [register] command. Errors carry a [line N:] prefix. *)
+    The [dataset] line is read as a [register] line
+    ({!Protocol.dataset_of_opts}): refused exactly when [register] is,
+    for the same reason. Errors carry a [line N:] prefix. *)
 
 type item =
   | Stat of {

@@ -37,7 +37,6 @@ type serving = {
 }
 
 type t = {
-  registry : Registry.t;
   servings : (string, serving) Hashtbl.t;
   log : Audit_log.t option;
   obs : Dp_obs.Metrics.t;
@@ -77,7 +76,6 @@ let entropy_seed () =
 let create ?(seed = 20120330) ?(audit = true) ?(obs = true) ?faults () =
   let faults = match faults with Some f -> f | None -> Faults.of_env () in
   {
-    registry = Registry.create ();
     servings = Hashtbl.create 8;
     log = (if audit then Some (Audit_log.create ()) else None);
     obs = Dp_obs.Metrics.create ~enabled:obs ();
@@ -199,27 +197,23 @@ let end_phase t scope h latency t0 =
   Dp_obs.Span.end_at t.trace h ~dur_ns;
   Dp_obs.Metrics.observe scope latency dur_ns
 
-let register_serving t (ds : Registry.dataset) =
-  match Registry.register t.registry ds with
-  | Error _ as e -> e
-  | Ok () ->
-      let ledger =
+(* Every [Registry] constructor admits its dataset, so this ledger
+   cannot raise. *)
+let serve_dataset t (ds : Registry.dataset) =
+  Hashtbl.replace t.servings ds.name
+    {
+      dataset = ds;
+      ledger =
         Ledger.create ~total:ds.policy.total ~backend:ds.policy.backend
-          ?analyst_epsilon:ds.policy.analyst_epsilon ()
-      in
-      Hashtbl.replace t.servings ds.name
-        {
-          dataset = ds;
-          ledger;
-          cache = Cache.create ();
-          models = Model_store.create ();
-          streams = Stream_store.create ();
-          scope = Dp_obs.Metrics.dataset t.obs ds.name;
-          answered = 0;
-          rejected = 0;
-          withheld = 0;
-        };
-      Ok ()
+          ?analyst_epsilon:ds.policy.analyst_epsilon ();
+      cache = Cache.create ();
+      models = Model_store.create ();
+      streams = Stream_store.create ();
+      scope = Dp_obs.Metrics.dataset t.obs ds.name;
+      answered = 0;
+      rejected = 0;
+      withheld = 0;
+    }
 
 let register t (ds : Registry.dataset) =
   if t.journal <> None then
@@ -229,41 +223,39 @@ let register t (ds : Registry.dataset) =
           records a regeneration seed, not column data); use \
           register_synthetic"
          ds.name)
-  else register_serving t ds
+  else if Hashtbl.mem t.servings ds.name then
+    Error (Printf.sprintf "dataset %S already registered" ds.name)
+  else Ok (serve_dataset t ds)
 
 let register_synthetic t ~name ~rows ~policy =
-  match Registry.find t.registry name with
-  | Some _ -> Error (Printf.sprintf "dataset %S already registered" name)
-  | None -> (
-      (* a [BASE~flipN] neighbour must share BASE's generator stream —
-         seeding from the full name would give unrelated data, not a
-         pair differing in one record *)
-      let seed =
-        dataset_seed t
-          (match Registry.neighbor_flip name with
-          | Some (base, _) -> base
-          | None -> name)
-      in
-      match
-        Registry.synthetic ~name ~rows ~policy (Dp_rng.Prng.create seed)
-      with
-      | exception Invalid_argument msg -> Error msg
-      | ds -> (
-          match register_serving t ds with
-          | Error _ as e -> e
-          | Ok () -> (
-              match
-                journal_append t [ Journal.Register { name; rows; seed; policy } ]
-              with
-              | Ok () -> Ok ds
-              | Error e ->
-                  (* never servable without being durable *)
-                  Registry.remove t.registry name;
-                  Hashtbl.remove t.servings name;
-                  Error (Format.asprintf "%a" pp_error e))))
+  if Hashtbl.mem t.servings name then
+    Error (Printf.sprintf "dataset %S already registered" name)
+  else
+    (* a [BASE~flipN] neighbour must share BASE's generator stream —
+       seeding from the full name would give unrelated data, not a
+       pair differing in one record *)
+    let seed =
+      dataset_seed t
+        (match Registry.neighbor_flip name with
+        | Some (base, _) -> base
+        | None -> name)
+    in
+    match Registry.synthetic ~name ~rows ~policy (Dp_rng.Prng.create seed) with
+    | exception Invalid_argument msg -> Error msg
+    | ds -> (
+        match
+          journal_append t [ Journal.Register { name; rows; seed; policy } ]
+        with
+        | Error e -> Error (Format.asprintf "%a" pp_error e)
+        | Ok () ->
+            serve_dataset t ds;
+            Ok ds)
 
-let datasets t = Registry.names t.registry
-let find t name = Registry.find t.registry name
+let datasets t =
+  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.servings [])
+
+let find t name =
+  Option.map (fun sv -> sv.dataset) (Hashtbl.find_opt t.servings name)
 
 type response = {
   answer : Planner.answer;
@@ -1112,18 +1104,14 @@ let apply_record t (record, withheld) =
              (Printf.sprintf "journal record on unknown dataset %S" dataset))
   in
   match record with
-  | Journal.Register { name; rows; seed; policy } -> (
-      if Registry.find t.registry name <> None then
+  | Journal.Register { name; rows; seed; policy } ->
+      if Hashtbl.mem t.servings name then
         raise
           (Recovery_failed
              (Printf.sprintf "journal registers %S but it already exists" name));
-      let ds =
-        try Registry.synthetic ~name ~rows ~policy (Dp_rng.Prng.create seed)
-        with Invalid_argument msg -> raise (Recovery_failed msg)
-      in
-      match register_serving t ds with
-      | Ok () -> ()
-      | Error msg -> raise (Recovery_failed msg))
+      serve_dataset t
+        (try Registry.synthetic ~name ~rows ~policy (Dp_rng.Prng.create seed)
+         with Invalid_argument msg -> raise (Recovery_failed msg))
   | Journal.Charge c ->
       let sv = serving c.Journal.dataset in
       (try

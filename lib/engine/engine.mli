@@ -58,9 +58,9 @@ val register_synthetic :
 (** Register the deterministic demo dataset of {!Registry.synthetic},
     drawn from a per-dataset seed derived from the engine seed and the
     name — registration order and prior traffic do not change the data,
-    so recovery regenerates identical columns. With a journal attached
-    the registration is journaled (and rolled back if the append
-    fails). *)
+    so recovery regenerates identical columns. What {!Registry.admit}
+    refuses is an [Error] leaving no trace; with a journal attached the
+    dataset is served only once its registration is durable. *)
 
 val datasets : t -> string list
 val find : t -> string -> Registry.dataset option

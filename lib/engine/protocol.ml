@@ -69,7 +69,7 @@ let register_keys =
     "backend"; "no-cache"; "low-water";
   ]
 
-let dataset_of_opts opts_tokens =
+let dataset_of_opts ~name opts_tokens =
   let* opts = parse_opts ~known:register_keys opts_tokens in
   let* rows = int_opt "rows" ~default:1000 opts in
   let* eps = float_opt "eps" ~default:1.0 opts in
@@ -87,25 +87,24 @@ let dataset_of_opts opts_tokens =
         Ok (Ledger.Rdp { delta = (if delta > 0. then delta else 1e-6) })
     | Some other -> Error (Printf.sprintf "err bad-argument backend=%s" other)
   in
-  if rows <= 0 then Error "err bad-argument rows must be positive"
-  else if eps <= 0. then Error "err bad-argument eps must be positive"
-  else if low_water < 0. then Error "err bad-argument low-water must be >= 0"
-  else
-    Ok
-      ( rows,
-        {
-          Registry.total = Privacy.approx ~epsilon:eps ~delta;
-          backend;
-          default_epsilon = default_eps;
-          analyst_epsilon = (if analyst_eps > 0. then Some analyst_eps else None);
-          universe;
-          cache = not (has_flag "no-cache" opts);
-          low_water;
-        } )
+  let policy =
+    {
+      Registry.total = { Privacy.epsilon = eps; delta };
+      backend;
+      default_epsilon = default_eps;
+      analyst_epsilon = (if analyst_eps > 0. then Some analyst_eps else None);
+      universe;
+      cache = not (has_flag "no-cache" opts);
+      low_water;
+    }
+  in
+  match Registry.admit ~name ~rows policy with
+  | Ok () -> Ok (rows, policy)
+  | Error reason -> Error ("err bad-argument " ^ reason)
 
 let register_lines eng name opts_tokens =
   let result =
-    let* rows, policy = dataset_of_opts opts_tokens in
+    let* rows, policy = dataset_of_opts ~name opts_tokens in
     Result.map_error
       (fun msg -> "err register-failed " ^ msg)
       (Engine.register_synthetic eng ~name ~rows ~policy)

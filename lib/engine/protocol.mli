@@ -82,11 +82,12 @@ val float_opt :
     an [err bad-argument KEY=VALUE] line. *)
 
 val dataset_of_opts :
-  string list -> (int * Registry.policy, string) result
-(** The row count and policy of a [register] line's option tokens —
-    the one grammar for a served dataset, which [dpkit analyze] reads
-    from a schema's [dataset] line too. Errors are [err bad-argument]
-    lines. *)
+  name:string -> string list -> (int * Registry.policy, string) result
+(** The row count and policy of a [register NAME] line's options: the
+    one grammar and admission check ({!Registry.admit}) for a served
+    dataset, which [dpkit analyze] and the pool coordinator apply too.
+    [Ok] only for what nothing built from it can raise on; otherwise
+    the [err bad-argument REASON] line a single server replies. *)
 
 val exec : Engine.t -> string -> string list
 (** Execute one request line; returns the reply lines (empty for blank

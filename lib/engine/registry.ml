@@ -33,18 +33,60 @@ type dataset = {
   synopses : synopses;
 }
 
+let neighbor_flip name =
+  match String.rindex_opt name '~' with
+  | None -> None
+  | Some i when i = 0 -> None
+  | Some i ->
+      let suffix = String.sub name (i + 1) (String.length name - i - 1) in
+      if String.length suffix > 4 && String.sub suffix 0 4 = "flip" then
+        match
+          int_of_string_opt (String.sub suffix 4 (String.length suffix - 4))
+        with
+        | Some row when row >= 0 -> Some (String.sub name 0 i, row)
+        | _ -> None
+      else None
+
+(* one rule a line: every bound the ledger, planner and meter assume *)
+let admit ~name ~rows p =
+  let positive x = Float.is_finite x && x > 0. in
+  let inside x = x > 0. && x < 1. in
+  let flip_ok =
+    match neighbor_flip name with Some (_, row) -> row < rows | None -> true
+  in
+  let backend_ok, backend_rule =
+    match p.backend with
+    | Ledger.Basic -> (true, "")
+    | Ledger.Advanced { slack } -> (inside slack, "slack must be in (0,1)")
+    | Ledger.Rdp { delta } -> (inside delta, "rdp delta must be in (0,1)")
+  in
+  let delta = p.total.Privacy.delta and low_water = p.low_water in
+  let rules =
+    [
+      (name <> "", "empty dataset name");
+      (rows > 0, "rows must be positive");
+      (flip_ok, Printf.sprintf "neighbour flip row out of range (%d rows)" rows);
+      (positive p.total.Privacy.epsilon, "eps must be positive");
+      (delta >= 0. && delta <= 1., "delta must be in [0,1]");
+      (positive p.default_epsilon, "default-eps must be positive");
+      ( Option.fold ~none:true ~some:(fun e -> e > 0.) p.analyst_epsilon,
+        "analyst-eps must be positive" );
+      (p.universe >= 2, "universe must be >= 2");
+      (Float.is_finite low_water && low_water >= 0., "low-water must be >= 0");
+      (backend_ok, backend_rule);
+    ]
+  in
+  match List.find_opt (fun (ok, _) -> not ok) rules with
+  | Some (_, reason) -> Error reason
+  | None -> Ok ()
+
+let admit_or_raise fn ~name ~rows p =
+  Result.iter_error (fun why -> invalid_arg (fn ^ ": " ^ why)) (admit ~name ~rows p)
+
 let dataset ~name ~policy ~columns =
-  if name = "" then invalid_arg "Registry.dataset: empty name";
   if columns = [] then invalid_arg "Registry.dataset: no columns";
-  ignore
-    (Dp_math.Numeric.check_pos "Registry.dataset default_epsilon"
-       policy.default_epsilon);
-  if policy.universe < 2 then
-    invalid_arg "Registry.dataset: universe must be >= 2";
-  if not (Float.is_finite policy.low_water) || policy.low_water < 0. then
-    invalid_arg "Registry.dataset: low_water must be finite and >= 0";
   let rows = Array.length (List.hd columns).values in
-  if rows = 0 then invalid_arg "Registry.dataset: empty columns";
+  admit_or_raise "Registry.dataset" ~name ~rows policy;
   let seen = Hashtbl.create 8 in
   let columns =
     List.map
@@ -101,12 +143,10 @@ type schema = {
 }
 
 let schema ~name ~rows ~policy cols =
-  if name = "" then Error "schema: empty dataset name"
-  else if cols = [] then Error "schema: no columns"
-  else if rows <= 0 then Error "schema: rows must be positive"
-  else if policy.default_epsilon <= 0. then
-    Error "schema: default_epsilon must be positive"
-  else
+  match admit ~name ~rows policy with
+  | Error msg -> Error ("schema: " ^ msg)
+  | Ok () when cols = [] -> Error "schema: no columns"
+  | Ok () ->
     let seen = Hashtbl.create 8 in
     let rec check = function
       | [] -> Ok { name; cols = Array.of_list cols; rows; policy }
@@ -136,22 +176,8 @@ let schema_of (ds : dataset) =
 let schema_column s name =
   Array.find_opt (fun (c : col_schema) -> c.col = name) s.cols
 
-let neighbor_flip name =
-  match String.rindex_opt name '~' with
-  | None -> None
-  | Some i when i = 0 -> None
-  | Some i ->
-      let suffix = String.sub name (i + 1) (String.length name - i - 1) in
-      if String.length suffix > 4 && String.sub suffix 0 4 = "flip" then
-        match
-          int_of_string_opt (String.sub suffix 4 (String.length suffix - 4))
-        with
-        | Some row when row >= 0 -> Some (String.sub name 0 i, row)
-        | _ -> None
-      else None
-
 let synthetic ~name ~rows ~policy g =
-  if rows <= 0 then invalid_arg "Registry.synthetic: rows must be positive";
+  admit_or_raise "Registry.synthetic" ~name ~rows policy;
   let age =
     Array.init rows (fun _ -> Dp_rng.Sampler.uniform ~lo:18. ~hi:80. g)
   in
@@ -170,11 +196,6 @@ let synthetic ~name ~rows ~policy g =
   (match neighbor_flip name with
   | None -> ()
   | Some (_, row) ->
-      if row >= rows then
-        invalid_arg
-          (Printf.sprintf
-             "Registry.synthetic: neighbour flip row %d out of range (%d rows)"
-             row rows);
       let flip values lo hi =
         let v = Dp_math.Numeric.clamp ~lo ~hi values.(row) in
         values.(row) <- (if v = lo then hi else lo)
@@ -189,18 +210,3 @@ let synthetic ~name ~rows ~policy g =
         { name = "income"; values = income; lo = 0.; hi = 200_000. };
         { name = "score"; values = score; lo = -4.; hi = 4. };
       ]
-
-type t = (string, dataset) Hashtbl.t
-
-let create () : t = Hashtbl.create 8
-
-let register t (ds : dataset) =
-  if Hashtbl.mem t ds.name then
-    Error (Printf.sprintf "dataset %S already registered" ds.name)
-  else (
-    Hashtbl.add t ds.name ds;
-    Ok ())
-
-let find t name = Hashtbl.find_opt t name
-let remove t name = Hashtbl.remove t name
-let names t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])

@@ -30,6 +30,15 @@ val default_policy : total:Privacy.budget -> policy
 (** Basic composition, default ε = 0.1 per query, no analyst caps,
     universe 64, cache on, no low-water mark. *)
 
+val admit : name:string -> rows:int -> policy -> (unit, string) result
+(** The one admission rule for a dataset, whoever builds it: a
+    non-empty name ([BASE~flipN] needs [N < rows]), [rows > 0], total ε
+    finite and positive with δ in [\[0, 1\]], default ε finite and
+    positive, analyst cap positive, [universe >= 2], low-water finite
+    and [>= 0], [Advanced] slack and [Rdp] δ in [(0, 1)]. Nothing built
+    from what it admits raises ({!Ledger.create}, {!Privacy.approx},
+    the pool's leases). The error is an untagged reason. *)
+
 type synopses
 (** Per-column {!Synopsis.t}s, built on first use; read them through
     {!synopsis}. *)
@@ -44,11 +53,11 @@ type dataset = {
 
 val dataset :
   name:string -> policy:policy -> columns:column list -> dataset
-(** Validates and clamps. @raise Invalid_argument on an empty name or
-    column set, empty/ragged columns, duplicate column names,
-    [lo >= hi], a non-finite value (NaN would escape the clamp and
-    make a neighbour's release distinguishable), or a non-positive
-    [default_epsilon]. *)
+(** Validates and clamps. @raise Invalid_argument on an empty column
+    set, a name, row count or policy {!admit} refuses, ragged columns,
+    duplicate column names, [lo >= hi], or a non-finite value (NaN
+    would escape the clamp and make a neighbour's release
+    distinguishable). *)
 
 val column : dataset -> string -> column option
 
@@ -80,9 +89,9 @@ type schema = {
 val schema :
   name:string -> rows:int -> policy:policy -> col_schema list ->
   (schema, string) result
-(** Validates without clamping anything (there is no data): non-empty
-    name and column set, positive rows, unique column names, [lo < hi],
-    positive [default_epsilon]. *)
+(** Validates without clamping anything (there is no data): {!admit}
+    on the name, rows and policy, then a non-empty column set, unique
+    column names and [lo < hi]. *)
 
 val schema_of : dataset -> schema
 (** Project a registered dataset onto its schema, dropping the values.
@@ -110,17 +119,5 @@ val synthetic :
     server; because the flip is a pure function of the (name, seed)
     pair, journal recovery regenerates the neighbour byte-for-byte with
     no journal format change.
-    @raise Invalid_argument when [rows <= 0] or the flip row is out of
-    range. *)
-
-type t
-
-val create : unit -> t
-val register : t -> dataset -> (unit, string) result
-val find : t -> string -> dataset option
-
-val remove : t -> string -> unit
-(** Used to roll back a registration whose journal append failed — a
-    dataset must never be servable without being durable. *)
-
-val names : t -> string list
+    @raise Invalid_argument when {!admit} refuses the name, rows or
+    policy. *)

@@ -163,6 +163,17 @@ type wal_view = {
   next_token : int;  (** above every token in the log *)
 }
 
+(* The single server's own check, asked before a line is journaled,
+   leased or broadcast. A WAL line it refuses (only a binary that
+   leased before checking wrote one) stands for no dataset. *)
+let admit line =
+  match split_ws line with
+  | "register" :: name :: opts ->
+      Result.map
+        (fun (_, policy) -> (name, policy))
+        (Protocol.dataset_of_opts ~name opts)
+  | _ -> Error "err bad-argument register needs NAME"
+
 let wal_view ~workers records =
   let last_token = Array.make workers (-1) in
   let leased = Hashtbl.create 16 and reclaimed = Hashtbl.create 16 in
@@ -171,10 +182,11 @@ let wal_view ~workers records =
   let seen token = next_token := Int.max !next_token (token + 1) in
   List.iter
     (function
-      | Grant_wal.Dataset { name; eps; line } ->
+      | Grant_wal.Dataset { name; eps; line } when Result.is_ok (admit line) ->
           datasets :=
             (name, eps, line)
             :: List.filter (fun (n, _, _) -> n <> name) !datasets
+      | Grant_wal.Dataset _ -> ()
       | Grant_wal.Incarnation { shard; token } ->
           seen token;
           if in_range shard then begin
@@ -685,38 +697,33 @@ let spawn_worker coord shard =
       true
 
 let handle_reg coord w line =
-  match split_ws line with
-  | "register" :: name :: opts ->
-      if Hashtbl.mem coord.leases name then
-        (* already arbitrated: only the requester execs it, and its own
-           engine produces the duplicate-registration error *)
-        ignore (send_ctrl w.cctrl ("doreg " ^ line))
-      else begin
-        let eps = Option.value ~default:1.0 (find_float "eps" opts) in
-        match
-          Grant_wal.append coord.wal (Grant_wal.Dataset { name; eps; line })
-        with
-        | Error msg ->
-            ignore
-              (send_ctrl w.cctrl ("regerr err transient grant wal: " ^ msg))
-        | Ok () ->
-            coord.wal_appends <- coord.wal_appends + 1;
-            let lease = Lease.create ~total:eps ~shards:coord.cfg.workers in
-            Array.iter
-              (fun w' ->
-                if w'.live then
-                  Lease.new_incarnation lease ~shard:w'.shard ~token:w'.token)
-              coord.cworkers;
-            Hashtbl.replace coord.leases name lease;
-            coord.reg_lines <- (name, line) :: coord.reg_lines;
-            Array.iter
-              (fun w' ->
-                if w'.live then ignore (send_ctrl w'.cctrl ("doreg " ^ line)))
-              coord.cworkers
-      end
-  | _ ->
-      ignore
-        (send_ctrl w.cctrl "regerr err bad-argument register needs NAME")
+  match admit line with
+  | Error reply -> ignore (send_ctrl w.cctrl ("regerr " ^ reply))
+  | Ok (name, _) when Hashtbl.mem coord.leases name ->
+      (* already arbitrated: only the requester execs it, and its own
+         engine produces the duplicate-registration error *)
+      ignore (send_ctrl w.cctrl ("doreg " ^ line))
+  | Ok (name, policy) -> (
+      let eps = policy.Registry.total.P.epsilon in
+      match
+        Grant_wal.append coord.wal (Grant_wal.Dataset { name; eps; line })
+      with
+      | Error msg ->
+          ignore (send_ctrl w.cctrl ("regerr err transient grant wal: " ^ msg))
+      | Ok () ->
+          coord.wal_appends <- coord.wal_appends + 1;
+          let lease = Lease.create ~total:eps ~shards:coord.cfg.workers in
+          Array.iter
+            (fun w' ->
+              if w'.live then
+                Lease.new_incarnation lease ~shard:w'.shard ~token:w'.token)
+            coord.cworkers;
+          Hashtbl.replace coord.leases name lease;
+          coord.reg_lines <- (name, line) :: coord.reg_lines;
+          Array.iter
+            (fun w' ->
+              if w'.live then ignore (send_ctrl w'.cctrl ("doreg " ^ line)))
+            coord.cworkers)
 
 let handle_lease coord w ~ds ~token ~need =
   if Faults.fire coord.cfg.faults Faults.Lease_expiry then
