@@ -35,7 +35,7 @@ type charge_record = {
   face : Privacy.budget;  (** face value the ledger was asked for *)
   marginal : Privacy.budget;  (** composed-spend increase it caused *)
   rho : float array option;
-      (** the charge's RDP curve evaluated on {!Ledger.alpha_grid};
+      (** the charge's RDP curve evaluated on {!Dp_mechanism.Rdp.alpha_grid};
           [None] for pure-DP charges (recomputed from [face] on
           replay) *)
 }

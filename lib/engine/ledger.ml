@@ -10,13 +10,6 @@ type rejection = {
   analyst : string option;
 }
 
-(* Same α-grid as Rdp.to_dp: accumulating ρ(α) pointwise on a fixed
-   grid keeps each spend O(|grid|) instead of O(#charges). *)
-let alpha_grid =
-  let low = List.init 18 (fun i -> 1.05 +. (0.15 *. float_of_int i)) in
-  let high = List.init 24 (fun i -> 4. *. (1.26 ** float_of_int i)) in
-  Array.of_list (low @ List.filter (fun a -> a <= 512.) high)
-
 type t = {
   total : Privacy.budget;
   backend : backend;
@@ -28,7 +21,9 @@ type t = {
   mutable sum_eps_sq : float;
   mutable sum_eps_exp : float;  (* Σ εᵢ(e^{εᵢ} − 1) *)
   mutable sum_delta_no_curve : float;  (* δ of charges outside RDP accounting *)
-  rho : float array;  (* accumulated RDP curve on alpha_grid *)
+  rho : float array;
+      (* accumulated RDP curve on Rdp.alpha_grid: each spend costs
+         O(|grid|) instead of O(#charges) *)
 }
 
 let pp_backend fmt = function
@@ -60,7 +55,7 @@ let create ~total ~backend ?analyst_epsilon () =
     sum_eps_sq = 0.;
     sum_eps_exp = 0.;
     sum_delta_no_curve = 0.;
-    rho = Array.make (Array.length alpha_grid) 0.;
+    rho = Array.make (Array.length Rdp.alpha_grid) 0.;
   }
 
 let total t = t.total
@@ -83,13 +78,9 @@ let spent_of t ~n ~sum_eps ~sum_delta ~sum_eps_sq ~sum_eps_exp
           { Privacy.epsilon = adv; delta = sum_delta +. slack }
         else basic
     | Rdp { delta } ->
-        let eps = ref infinity in
-        Array.iteri
-          (fun i alpha ->
-            eps := Float.min !eps (rho_at i +. (log (1. /. delta) /. (alpha -. 1.))))
-          alpha_grid;
-        if !eps < basic.Privacy.epsilon then
-          { Privacy.epsilon = !eps; delta = delta +. sum_delta_no_curve }
+        let eps = Rdp.epsilon_on_grid ~delta rho_at in
+        if eps < basic.Privacy.epsilon then
+          { Privacy.epsilon = eps; delta = delta +. sum_delta_no_curve }
         else basic
 
 let spent t =
@@ -112,7 +103,7 @@ let spent_with t (c : charge) =
     ~sum_eps_exp:(t.sum_eps_exp +. (eps *. (exp eps -. 1.)))
     ~sum_delta_no_curve:
       (t.sum_delta_no_curve +. if Option.is_none c.rdp then dlt else 0.)
-    ~rho_at:(fun i -> t.rho.(i) +. curve alpha_grid.(i))
+    ~rho_at:(fun i -> t.rho.(i) +. curve Rdp.alpha_grid.(i))
 
 let remaining t =
   let s = spent t in
@@ -163,10 +154,12 @@ let commit t (c : charge) =
   t.sum_eps_sq <- t.sum_eps_sq +. (eps *. eps);
   t.sum_eps_exp <- t.sum_eps_exp +. (eps *. (exp eps -. 1.));
   if Option.is_none c.rdp then t.sum_delta_no_curve <- t.sum_delta_no_curve +. dlt;
-  Array.iteri (fun i alpha -> t.rho.(i) <- t.rho.(i) +. curve alpha) alpha_grid
+  Array.iteri
+    (fun i alpha -> t.rho.(i) <- t.rho.(i) +. curve alpha)
+    Rdp.alpha_grid
 
 let rho_of_charge (c : charge) =
-  Option.map (fun curve -> Array.map curve alpha_grid) c.rdp
+  Option.map (fun curve -> Array.map curve Rdp.alpha_grid) c.rdp
 
 let replay_charge t ?analyst ~face ~rho () =
   (match (analyst, t.analyst_epsilon) with
@@ -175,7 +168,7 @@ let replay_charge t ?analyst ~face ~rho () =
   match rho with
   | None -> commit t { budget = face; rdp = None }
   | Some arr ->
-      if Array.length arr <> Array.length alpha_grid then
+      if Array.length arr <> Array.length Rdp.alpha_grid then
         invalid_arg "Ledger.replay_charge: rho does not match the alpha grid";
       let eps = face.Privacy.epsilon and dlt = face.Privacy.delta in
       t.n <- t.n + 1;

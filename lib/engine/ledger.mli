@@ -79,11 +79,9 @@ val preview : total:Privacy.budget -> backend:backend -> charge list -> Privacy.
     ledger only ever evaluates curves on its fixed α-grid — so the
     grid-evaluated array is a complete, serializable substitute. *)
 
-val alpha_grid : float array
-(** The fixed α-grid every RDP curve is accumulated on. *)
-
 val rho_of_charge : charge -> float array option
-(** The charge's curve evaluated on {!alpha_grid}; [None] for pure-DP
+(** The charge's curve evaluated on {!Rdp.alpha_grid}, the fixed grid
+    every RDP curve is accumulated on; [None] for pure-DP
     charges (their implied curve is recomputable from ε alone). *)
 
 val replay_charge :
@@ -94,4 +92,4 @@ val replay_charge :
     committed live, so re-checking could only under-count). Applies the
     same accumulator updates as the live [spend], so the recovered
     {!spent} equals the live one exactly.
-    @raise Invalid_argument when [rho] does not match {!alpha_grid}. *)
+    @raise Invalid_argument when [rho] does not match {!Rdp.alpha_grid}. *)

@@ -41,18 +41,20 @@ let alpha_grid =
   (* log-spaced orders in (1, 512] plus a fine low-end *)
   let low = List.init 18 (fun i -> 1.05 +. (0.15 *. float_of_int i)) in
   let high = List.init 24 (fun i -> 4. *. (1.26 ** float_of_int i)) in
-  low @ List.filter (fun a -> a <= 512.) high
+  Array.of_list (low @ List.filter (fun a -> a <= 512.) high)
+
+let epsilon_on_grid ~delta rho =
+  let eps = ref infinity in
+  Array.iteri
+    (fun i alpha ->
+      eps := Float.min !eps (rho i +. (log (1. /. delta) /. (alpha -. 1.))))
+    alpha_grid;
+  !eps
 
 let to_dp ~delta curve =
   if delta <= 0. || delta >= 1. then
     invalid_arg "Rdp.to_dp: delta must be in (0, 1)";
-  let eps =
-    List.fold_left
-      (fun acc alpha ->
-        let e = curve alpha +. (log (1. /. delta) /. (alpha -. 1.)) in
-        Float.min acc e)
-      infinity alpha_grid
-  in
+  let eps = epsilon_on_grid ~delta (fun i -> curve alpha_grid.(i)) in
   Privacy.approx ~epsilon:eps ~delta
 
 let gaussian_sgm_epsilon ~noise_multiplier ~steps ~delta =

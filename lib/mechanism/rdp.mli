@@ -30,9 +30,19 @@ val compose : curve list -> curve
 val scale : int -> curve -> curve
 (** [scale k c] is k-fold composition of the same mechanism. *)
 
+val alpha_grid : float array
+(** The orders every conversion optimizes over: 1.05 to 3.6 in steps of
+    0.15, then log-spaced from 4 up to 512. *)
+
+val epsilon_on_grid : delta:float -> (int -> float) -> float
+(** [epsilon_on_grid ~delta rho] is [min_i rho i + log(1/δ)/(α_i−1)]
+    over [α_i = alpha_grid.(i)], where [rho i] is a curve's value at
+    [α_i]: the conversion {!to_dp} makes, for a curve already summed
+    pointwise on the grid. *)
+
 val to_dp : delta:float -> curve -> Privacy.budget
-(** Convert to (ε, δ)-DP, optimizing the order over a log-spaced grid
-    α ∈ (1, 512]: [ε = min_α ρ(α) + log(1/δ)/(α−1)].
+(** Convert to (ε, δ)-DP, optimizing the order over {!alpha_grid}:
+    [ε = min_α ρ(α) + log(1/δ)/(α−1)].
     @raise Invalid_argument for δ outside (0, 1). *)
 
 val gaussian_sgm_epsilon :

@@ -49,7 +49,7 @@ let sample_records =
         mechanism = "laplace";
         face = Privacy.approx ~epsilon:0.125 ~delta:1e-7;
         marginal = Privacy.approx ~epsilon:0.125 ~delta:0.;
-        rho = Some (Array.map (fun a -> a /. 2.) Ledger.alpha_grid);
+        rho = Some (Array.map (fun a -> a /. 2.) Dp_mechanism.Rdp.alpha_grid);
       };
     Journal.Charge
       {
