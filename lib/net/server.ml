@@ -69,6 +69,9 @@ type t = {
   faults : Faults.t;
   mutable conns : conn list;
   mutable stopping : bool;
+  mutable spare : Unix.file_descr option;
+      (** room for a descriptor passed by {!receive}, held from the
+          first receive on *)
 }
 
 let now_s () = float_of_int (Dp_obs.Clock.now_ns ()) /. 1e9
@@ -83,6 +86,7 @@ let detached ?(config = default_config) eng =
     faults = Engine.faults eng;
     conns = [];
     stopping = false;
+    spare = None;
   }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -117,6 +121,11 @@ let shed_reply =
   Bytes.of_string
     (Printf.sprintf "err overloaded retry-after=%d\n\n" retry_after_base_ms)
 
+let shed_fd fd =
+  (try ignore (Unix.write fd shed_reply 0 (Bytes.length shed_reply))
+   with Unix.Unix_error _ -> ());
+  close_quietly fd
+
 let accept l =
   match Unix.accept l.sock with
   | fd, _ -> `Conn fd
@@ -125,9 +134,7 @@ let accept l =
       let shed =
         match Unix.accept l.sock with
         | fd, _ ->
-            (try ignore (Unix.write fd shed_reply 0 (Bytes.length shed_reply))
-             with Unix.Unix_error _ -> ());
-            close_quietly fd;
+            shed_fd fd;
             `Shed
         | exception Unix.Unix_error _ -> `Again
       in
@@ -210,31 +217,53 @@ let mk_conn fd =
     slot = -1;
   }
 
-(* Admission for every connection, accepted or adopted: past
+(* The kernel installs a passed descriptor during the receive itself.
+   At the limit it drops it (MSG_CTRUNC) and the client reads end of
+   stream, so the spare makes room as it does in [accept]. *)
+let receive t sock =
+  Option.iter close_quietly t.spare;
+  t.spare <- None;
+  let received =
+    Fun.protect
+      ~finally:(fun () -> t.spare <- open_spare ())
+      (fun () -> Fd_passing.recv sock)
+  in
+  match received with
+  | Some ({ fd = Some fd; _ } as r) when t.spare = None ->
+      shed_fd fd;
+      t.spare <- open_spare ();
+      Some { r with fd = None }
+  | r -> r
+
+(* Admission for every connection, accepted or passed: past
    [max_conns] it is shed, but with a typed reply — the client learns it
-   was load, not its request, and when to come back. *)
-let adopt t fd =
-  Unix.set_nonblock fd;
-  (* a reply goes out when it is ready: Nagle would hold the second of
-     two pipelined replies behind the peer's delayed ACK (~40 ms) *)
-  (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-  let c = mk_conn fd in
-  if List.length t.conns >= t.cfg.max_conns then begin
-    Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
-    c.eof <- true;
-    c.close_after_flush <- true;
-    c.deadline <- now_s () +. t.cfg.reply_deadline_s;
-    queue_frame c [ overloaded_line t ]
-  end
-  else Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
-  t.conns <- c :: t.conns
+   was load, not its request, and when to come back. A passed
+   connection without its descriptor ([None]) was shed on the way. *)
+let adopt t = function
+  | None -> Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed
+  | Some fd ->
+      Unix.set_nonblock fd;
+      (* a reply goes out when it is ready: Nagle would hold the second
+         of two pipelined replies behind the peer's delayed ACK (~40 ms) *)
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true
+       with Unix.Unix_error _ -> ());
+      let c = mk_conn fd in
+      if List.length t.conns >= t.cfg.max_conns then begin
+        Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed;
+        c.eof <- true;
+        c.close_after_flush <- true;
+        c.deadline <- now_s () +. t.cfg.reply_deadline_s;
+        queue_frame c [ overloaded_line t ]
+      end
+      else Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_accepted;
+      t.conns <- c :: t.conns
 
 (* an injected accept-fail leaves the connection in the kernel backlog
    for a later turn *)
 let accept_phase t l =
   if not (Faults.fire t.faults Faults.Accept_fail) then
     match accept l with
-    | `Conn fd -> adopt t fd
+    | `Conn fd -> adopt t (Some fd)
     | `Shed -> Dp_obs.Metrics.incr t.scope Dp_obs.Name.Net_conns_shed
     | `Again -> ()
 

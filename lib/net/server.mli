@@ -87,9 +87,20 @@ val detached : ?config:config -> Dp_engine.Engine.t -> t
 (** A server without a listener (port 0): it serves what {!adopt}
     hands it. *)
 
-val adopt : t -> Unix.file_descr -> unit
-(** Serve an already-accepted connection under the same [max_conns]
-    admission as an accepted one. Safe to call from [run]'s callbacks. *)
+val receive : t -> Unix.file_descr -> Fd_passing.received option
+(** {!Fd_passing.recv} on a control channel that passes this server its
+    connections. The kernel installs a passed descriptor during the
+    receive itself, so the server's spare descriptor is closed just
+    before it and reopened just after, as {!accept} does. If the spare
+    cannot be reopened, the passed connection is sent {!accept}'s
+    [err overloaded retry-after=50] frame, closed, and returned as
+    [fd = None]; the spare is then reopened. *)
+
+val adopt : t -> Unix.file_descr option -> unit
+(** Serve a passed connection under the same [max_conns] admission as
+    an accepted one. [None], a connection passed without its descriptor
+    (shed by {!receive}, or dropped by the kernel), is counted in
+    [net_conns_shed]. Safe to call from [run]'s callbacks. *)
 
 val port : t -> int
 (** The bound port (resolved when [config.port = 0]). *)

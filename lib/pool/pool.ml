@@ -385,7 +385,7 @@ let wlease w ds =
 let absorb_ctrl w ({ msg; fd } : Fd_passing.received) =
   let toks = split_ws msg in
   (match (fd, toks) with
-  | Some cfd, "conn" :: _ -> Server.adopt w.srv cfd
+  | fd, "conn" :: _ -> Server.adopt w.srv fd
   | Some cfd, _ -> close_quietly cfd
   | None, _ -> ());
   (match toks with
@@ -415,7 +415,7 @@ let rec await_ctrl w ~deadline_at accept =
   else if not (Poll.wait_readable w.ctrl remaining) then
     await_ctrl w ~deadline_at accept
   else
-    match Fd_passing.recv w.ctrl with
+    match Server.receive w.srv w.ctrl with
     | None ->
         w.coord_gone <- true;
         None
@@ -531,7 +531,7 @@ let worker_finish w ~code =
    its shard lock. Only [drain] and SIGTERM drain. *)
 let worker_tick w term readable =
   if readable then begin
-    match Fd_passing.recv w.ctrl with
+    match Server.receive w.srv w.ctrl with
     | None -> w.coord_gone <- true
     | Some received -> ignore (absorb_ctrl w received)
   end;
