@@ -1,5 +1,6 @@
 (* Usage: pool_stall.exe DPKIT. Pool workers keep the defences of
-   `dpkit serve --tcp`. Against `serve --tcp 0 --workers 2 --journal J`:
+   `dpkit serve --tcp`, and the pool admits a dataset as a single server
+   does. Against `serve --tcp 0 --workers 2 --journal J`:
    (a) while a client pipelines requests it never reads, fresh
        connections on both workers are answered within 2 s, and SIGTERM
        drains the pool (exit 0, `drained`);
@@ -7,93 +8,40 @@
        orphan holding a shard lock: a restart on the same journal prints
        `listening`, and `dpkit pool replay` reports `invariant=ok`;
    (c) `--idle-timeout 1` closes a silent connection, and `--max-conns 1`
-       sheds a worker's second one with `err overloaded retry-after=`. *)
+       sheds a worker's second one with `err overloaded retry-after=`;
+   (d) on a fresh pool, `register x eps=-1`, `register y eps=1e400` and
+       `register z eps=100 rows=0` each reply `err bad-argument` and
+       `status` still answers; after `register z eps=1 default-eps=0.3`
+       at most 3 of 12 fresh `count` queries are answered, and `pool
+       replay` reads `eps-total=1` under `invariant=ok`; a pool started
+       on a grant WAL holding `Dataset x eps=-1` prints `listening`. *)
 
-let dpkit = Sys.argv.(1)
-let dir = Filename.temp_dir "pool_stall" ""
+open Spawn
+
 let journal = Filename.concat dir "J"
-let now = Unix.gettimeofday
-let sessions = ref []
 
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all with Sys_error _ -> ""
+let pool ?(journal = journal) name extra =
+  serve name ([ "--workers"; "2"; "--journal"; journal ] @ extra)
 
-(* every pool is a session of its own, so a failure kills all it forked *)
-let fail fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "FAIL: %s\n(logs kept in %s)\n" msg dir;
-      List.iter (fun p -> try Unix.kill (-p) Sys.sigkill with _ -> ()) !sessions;
-      exit 1)
-    fmt
+(* one request on a connection of its own *)
+let ask server line =
+  let fd = connect server in
+  let _, reply = request fd line in
+  Unix.close fd;
+  reply
 
-(* [f ()] every 20 ms until it is [Some], for at most [timeout] s *)
-let poll timeout f =
-  let deadline = now () +. timeout in
-  let rec go () =
-    match f () with
-    | None when now () < deadline -> ignore (Unix.select [] [] [] 0.02); go ()
-    | r -> r
+let replay journal =
+  let argv = [ "pool"; "replay"; "--journal"; journal; "--workers"; "2" ] in
+  let out = Filename.concat dir "replay.out" in
+  ignore (Sys.command (Filename.quote_command dpkit argv ~stdout:out));
+  read_file out
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
-  go ()
-
-(* a pool on an ephemeral port, logging to [dir/name]: (pid, log, port) *)
-let serve name extra =
-  let log = Filename.concat dir name in
-  let out = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  let args = [ dpkit; "serve"; "--tcp"; "0"; "--workers"; "2"; "--journal"; journal ] in
-  let pid =
-    match Unix.fork () with
-    | 0 -> (
-        try
-          ignore (Unix.setsid ());
-          Unix.dup2 out Unix.stdout;
-          Unix.dup2 out Unix.stderr;
-          Unix.execv dpkit (Array.of_list (args @ extra))
-        with _ -> Unix._exit 127)
-    | pid -> pid
-  in
-  Unix.close out;
-  sessions := pid :: !sessions;
-  let port () =
-    List.find_map
-      (fun l -> Scanf.sscanf_opt l "listening port=%d" Fun.id)
-      (String.split_on_char '\n' (read_file log))
-  in
-  match poll 4. port with
-  | Some port -> (pid, log, port)
-  | None -> fail "no `listening` within 4 s:\n%s" (read_file log)
-
-let drain (pid, log, _) =
-  Unix.kill pid Sys.sigterm;
-  let exited () =
-    match Unix.waitpid [ Unix.WNOHANG ] pid with 0, _ -> None | _, st -> Some st
-  in
-  match poll 8. exited with
-  | Some (Unix.WEXITED 0) when String.ends_with ~suffix:"drained\n" (read_file log) -> ()
-  | _ -> fail "SIGTERM did not drain within 8 s:\n%s" (read_file log)
-
-let connect (_, _, port) =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  fd
-
-(* what arrives within [timeout] s: up to the blank line that ends a
-   reply frame, to end of stream, or to the deadline *)
-let read_reply fd timeout =
-  let deadline = now () +. timeout and b = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let rec go () =
-    let s = Buffer.contents b in
-    if s = "\n" || String.ends_with ~suffix:"\n\n" s then (`Frame, s)
-    else if Unix.select [ fd ] [] [] (Float.max 0. (deadline -. now ())) = ([], [], [])
-    then (`Silent, s)
-    else
-      match Unix.read fd chunk 0 4096 with
-      | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> (`Closed, s)
-      | n -> Buffer.add_subbytes b chunk 0 n; go ()
-  in
-  go ()
+  go 0
 
 (* pipelines `status` lines, 2 000 per write, for [seconds]; never reads *)
 let stall pool seconds =
@@ -106,7 +54,7 @@ let stall pool seconds =
       match Unix.write_substring fd burst off (len - off) with
       | n -> go ((off + n) mod len)
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          ignore (Unix.select [] [ fd ] [] 0.01); go off
+          Unix.sleepf 0.01; go off
   in
   (* a reply deadline closing it is a defence too *)
   (try go 0 with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
@@ -116,41 +64,80 @@ let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (* (a): a 3 s reply deadline bounds the drain, which must wait out
      the staller's unflushable replies *)
-  let pool = serve "a.log" [ "--request-deadline"; "3" ] in
-  let staller = stall pool 1.5 in
+  let server = pool "a.log" [ "--request-deadline"; "3" ] in
+  let staller = stall server 1.5 in
   (* the staller is connection 1, so these land on workers 1, 0, 1, 0 *)
   for i = 1 to 4 do
-    let fd = connect pool in
-    ignore (Unix.write_substring fd "status\n" 0 7);
-    (match read_reply fd 2. with
+    let fd = connect ~timeout:2. server in
+    (match request fd "status" with
     | `Frame, _ -> ()
     | _, s -> fail "(a) connection on worker %d: no reply in 2 s (%S)" (i mod 2) s);
     Unix.close fd
   done;
-  drain pool;
+  drain server;
   Unix.close staller;
-  let ((pid, _, _) as pool) = serve "b.log" [] in
-  let staller = stall pool 1. in
+  let ((pid, _, _) as server) = pool "b.log" [] in
+  let staller = stall server 1. in
   Unix.kill pid Sys.sigkill;
   ignore (Unix.waitpid [] pid);
-  let pool = serve "b-restart.log" [] in
-  let replay = [ "pool"; "replay"; "--journal"; journal; "--workers"; "2" ] in
-  if Sys.command (Filename.quote_command dpkit replay ^ " | grep -q invariant=ok") <> 0
-  then fail "(b) pool replay did not report invariant=ok";
-  drain pool;
+  let server = pool "b-restart.log" [] in
+  if not (contains (replay journal) "invariant=ok") then
+    fail "(b) pool replay did not report invariant=ok";
+  drain server;
   Unix.close staller;
   (* (c): connections 1 and 3 land on worker 0 *)
-  let pool = serve "c.log" [ "--idle-timeout"; "1"; "--max-conns"; "1" ] in
-  let silent = connect pool in
-  let other = connect pool in
-  let second = connect pool in
-  (match read_reply second 2. with
+  let server = pool "c.log" [ "--idle-timeout"; "1"; "--max-conns"; "1" ] in
+  let silent = connect ~timeout:3. server in
+  let other = connect server in
+  let second = connect ~timeout:2. server in
+  (match read_reply second with
   | `Frame, s when String.starts_with ~prefix:"err overloaded retry-after=" s -> ()
   | _, s -> fail "(c) worker 0 did not shed its second connection (%S)" s);
-  (match read_reply silent 3. with
+  (match read_reply silent with
   | `Closed, "" -> ()
   | _, s -> fail "(c) silent connection open 3 s into a 1 s idle timeout (%S)" s);
   List.iter Unix.close [ silent; other; second ];
-  drain pool;
-  ignore (Sys.command (Filename.quote_command "rm" [ "-rf"; dir ]));
-  print_endline "pool_stall: (a) (b) (c) hold in pool mode"
+  drain server;
+  (* (d) *)
+  let fresh = Filename.concat dir "D" in
+  let server = pool ~journal:fresh "d.log" [] in
+  List.iter
+    (fun line ->
+      let r = ask server line in
+      if not (String.starts_with ~prefix:"err bad-argument" r) then
+        fail "(d) %S: %S" line r;
+      let r = ask server "status" in
+      if not (String.starts_with ~prefix:"ok status" r) then
+        fail "(d) status after %S: %S" line r)
+    [ "register x eps=-1"; "register y eps=1e400"; "register z eps=100 rows=0" ];
+  let r = ask server "register z eps=1 default-eps=0.3" in
+  if not (String.starts_with ~prefix:"ok registered" r) then
+    fail "(d) register z eps=1: %S" r;
+  let answered =
+    List.length
+      (List.filter
+         (fun i ->
+           String.starts_with ~prefix:"ok "
+             (ask server (Printf.sprintf "query z count(age>%d)" (20 + i))))
+         (List.init 12 Fun.id))
+  in
+  if answered > 3 then fail "(d) %d of 12 answered at eps=1, 0.3 each" answered;
+  drain server;
+  let merged = replay fresh in
+  if not (contains merged "invariant=ok" && contains merged "eps-total=1 ") then
+    fail "(d) pool replay after the drain:\n%s" merged;
+  let poisoned = Filename.concat dir "E" in
+  (* what a binary that leased before checking journaled *)
+  (match Dp_pool.Grant_wal.open_ (Dp_pool.Pool.wal_path poisoned) with
+  | Ok (wal, _, _) ->
+      let x = Dp_pool.Grant_wal.Dataset
+          { name = "x"; eps = -1.; line = "register x eps=-1" } in
+      (match Dp_pool.Grant_wal.append wal x with
+      | Ok () -> ()
+      | Error msg -> fail "(d) grant wal append: %s" msg);
+      Dp_pool.Grant_wal.close wal
+  | Error msg -> fail "(d) grant wal: %s" msg);
+  drain (pool ~journal:poisoned "e.log" []);
+  finish ();
+  Printf.printf "pool_stall: (a) (b) (c) (d) hold in pool mode; (d) answered %d of 12\n"
+    answered

@@ -154,6 +154,39 @@ let test_parse_schema () =
   | Ok _ -> Alcotest.fail "lo>hi accepted"
   | Error _ -> ()
 
+(* A schema is refused exactly when `register` would refuse its line,
+   with the same reason, and the refusal is a value: neither parsing nor
+   pricing raises. *)
+let test_schema_refuses_policy () =
+  List.iter
+    (fun (name, opts) ->
+      let text =
+        Printf.sprintf "dataset %s %s\ncolumn age lo=18 hi=80\n" name opts
+      in
+      match A.parse_schema text with
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%S: %s" opts e)
+            true
+            (String.starts_with ~prefix:"line 1: bad-argument " e)
+      | Ok s -> (
+          match A.analyze s (items ()) with
+          | _ -> Alcotest.failf "schema %S admitted" opts
+          | exception e ->
+              Alcotest.failf "schema %S admitted, then analyze raised %s" opts
+                (Printexc.to_string e))
+      | exception e ->
+          Alcotest.failf "parse_schema %S raised %s" opts (Printexc.to_string e))
+    [
+      ("d", "backend=advanced slack=2");
+      ("d", "backend=rdp delta=2");
+      ("d", "delta=2");
+      ("d", "universe=1");
+      ("d", "universe=0");
+      ("d", "default-eps=0");
+      ("seven~flip9", "rows=7");
+    ]
+
 let test_parse_workload () =
   (match A.parse_workload "# w\ncount eps=0.5\nmean(income)\n" with
   | Error e -> Alcotest.fail e
@@ -241,6 +274,8 @@ let () =
       ( "parsing",
         [
           Alcotest.test_case "schema files" `Quick test_parse_schema;
+          Alcotest.test_case "schema refused as register is" `Quick
+            test_schema_refuses_policy;
           Alcotest.test_case "workload files" `Quick test_parse_workload;
         ] );
       ( "verdict",

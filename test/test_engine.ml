@@ -504,6 +504,40 @@ let test_protocol_delta_refusal () =
     "err budget-exceeded requested=0.1 remaining=0.05"
     (exec_one eng "query pure sum(age)")
 
+(* Every option a dataset cannot be served under is refused at the
+   protocol with a typed reply, before anything is registered: the
+   name stays free, and a valid line then registers and answers. *)
+let test_protocol_refuses_policy () =
+  List.iter
+    (fun (name, opts) ->
+      let eng = Engine.create ~seed:42 () in
+      let line = Printf.sprintf "register %s %s" name opts in
+      let reply = exec_one eng line in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S refused: %s" line reply)
+        true
+        (starts_with "err bad-argument " reply);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%S leaves no dataset" line)
+        [] (Engine.datasets eng);
+      let reply = exec_one eng (Printf.sprintf "register %s rows=10" name) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s registers afterwards: %s" name reply)
+        true
+        (starts_with "ok registered" reply);
+      let reply = exec_one eng (Printf.sprintf "query %s count" name) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s answers: %s" name reply)
+        true (starts_with "ok seq=" reply))
+    [
+      ("adv", "backend=advanced slack=2");
+      ("rdp", "backend=rdp delta=2");
+      ("d", "delta=2");
+      ("u", "universe=1");
+      ("e", "default-eps=0");
+      ("seven~flip9", "rows=7");
+    ]
+
 let test_determinism () =
   (* same seed, same request sequence -> byte-identical transcript *)
   let transcript () =
@@ -860,6 +894,8 @@ let () =
           Alcotest.test_case "line protocol" `Quick test_protocol;
           Alcotest.test_case "budget refusal shows delta" `Quick
             test_protocol_delta_refusal;
+          Alcotest.test_case "refused policy leaves no dataset" `Quick
+            test_protocol_refuses_policy;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

@@ -361,11 +361,98 @@ let replay_tests =
         List.iter Sys.remove [ shard0; wal ]);
   ]
 
+(* A Dataset line the registration check refuses can only have been
+   written by a binary that leased before checking. The merge admits
+   WAL lines through the same check, so such a line stands for no
+   dataset: the invariant is judged against the totals the shards
+   registered, and the line alone is harmless. *)
+let refused_line_tests =
+  let write_wal base records =
+    match Grant_wal.open_ (Pool.wal_path base) with
+    | Error msg -> Alcotest.fail msg
+    | Ok (w, _, _) ->
+        List.iter
+          (fun r ->
+            match Grant_wal.append w r with
+            | Ok () -> ()
+            | Error msg -> Alcotest.fail msg)
+          records;
+        Grant_wal.close w
+  in
+  (* shard [k] registers z at eps=1 and spends 0.3 three times *)
+  let spend_shard base k =
+    let eng = Engine.create ~seed:7 () in
+    (match Engine.open_journal eng (Pool.shard_journal base k) with
+    | Error msg -> Alcotest.fail msg
+    | Ok _ -> ());
+    let policy = Registry.default_policy ~total:(Dp_mechanism.Privacy.pure 1.) in
+    (match Engine.register_synthetic eng ~name:"z" ~rows:50 ~policy with
+    | Error msg -> Alcotest.fail msg
+    | Ok _ -> ());
+    List.iter
+      (fun q ->
+        match Engine.submit_text eng ~epsilon:0.3 ~dataset:"z" q with
+        | Error _ -> Alcotest.failf "shard %d: %s refused" k q
+        | Ok _ -> ())
+      [ "count"; "count(age>30)"; "count(age>40)" ];
+    Engine.close eng
+  in
+  let fresh_base () =
+    let base = Filename.temp_file "dpkit_pool" ".wal" in
+    Sys.remove base;
+    base
+  in
+  let cleanup base =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ Pool.wal_path base; Pool.shard_journal base 0; Pool.shard_journal base 1 ]
+  in
+  [
+    Alcotest.test_case "a refused line leases nothing" `Quick (fun () ->
+        let base = fresh_base () in
+        spend_shard base 0;
+        spend_shard base 1;
+        (* each shard's spend is within the lease its token holds: only
+           the global total can catch the 1.8 eps spent of 1 *)
+        write_wal base
+          [
+            Grant_wal.Dataset
+              { name = "z"; eps = 100.; line = "register z eps=100 rows=0" };
+            Grant_wal.Incarnation { shard = 0; token = 1 };
+            Grant_wal.Incarnation { shard = 1; token = 2 };
+            Grant_wal.Grant
+              { shard = 0; token = 1; dataset = "z"; leased = 0.9; deadline = 10. };
+            Grant_wal.Grant
+              { shard = 1; token = 2; dataset = "z"; leased = 0.9; deadline = 10. };
+          ];
+        (match Pool.merge_lines ~journal:base ~workers:2 () with
+        | Error msg -> Alcotest.fail msg
+        | Ok (lines, ok) ->
+            check "invariant violated" false ok;
+            check "judged against the registered total" true
+              (List.exists
+                 (String.starts_with ~prefix:"pool-merge dataset=z eps-total=1 ")
+                 lines));
+        cleanup base);
+    Alcotest.test_case "a refused line alone reads ok" `Quick (fun () ->
+        let base = fresh_base () in
+        write_wal base
+          [
+            Grant_wal.Dataset
+              { name = "x"; eps = -1.; line = "register x eps=-1" };
+          ];
+        (match Pool.merge_lines ~journal:base ~workers:2 () with
+        | Error msg -> Alcotest.fail msg
+        | Ok (_, ok) -> check "invariant ok" true ok);
+        cleanup base);
+  ]
+
 let () =
   Alcotest.run "pool"
     [
       ("lease", lease_unit_tests);
       ("grant-wal", wal_tests);
       ("replay", replay_tests);
+      ("refused-line", refused_line_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
