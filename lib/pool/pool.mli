@@ -16,6 +16,13 @@
     grant in its own WAL ([<journal>.grants], {!Grant_wal}) and fsyncs
     {e before} acking — charge-before-grant, one level up.
 
+    Registration: a [register] line is admitted by the single server's
+    own check ({!Dp_engine.Protocol.dataset_of_opts}) before the
+    coordinator journals it: a refused line leaves no [Dataset] record,
+    lease or broadcast, and its requester reads the single server's
+    [err bad-argument] reply. The merge ignores a WAL [Dataset] line the
+    check refuses, so no lease is rebuilt from one.
+
     Fencing: each worker incarnation carries a monotonically increasing
     token, durable in the WAL before the fork. A lease request under a
     superseded token is answered [lost]; the worker then refuses the

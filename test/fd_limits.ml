@@ -17,6 +17,9 @@
 
 open Spawn
 
+(* a drain may close 2 200 connections *)
+let drain = drain ~within:20.
+
 let status fd = snd (request fd "status")
 let is_ok s = String.starts_with ~prefix:"ok status" s
 let is_shed s = String.starts_with ~prefix:"err overloaded retry-after=" s

@@ -18,6 +18,9 @@
 
 open Spawn
 
+(* no drain here waits out more than a 3 s reply deadline *)
+let drain = drain ~within:8.
+
 let journal = Filename.concat dir "J"
 
 let pool ?(journal = journal) name extra =

@@ -68,14 +68,15 @@ let serve ?(script = "exec \"$@\"") name args =
   | Some port -> (pid, log, port)
   | None -> fail "%s: no `listening` within 4 s:\n%s" name (read_file log)
 
-let drain (pid, log, _) =
+(* SIGTERM, then exit 0 with `drained` within [within] s *)
+let drain ~within (pid, log, _) =
   Unix.kill pid Sys.sigterm;
   let exited () =
     match Unix.waitpid [ Unix.WNOHANG ] pid with 0, _ -> None | _, st -> Some st
   in
-  match poll 20. exited with
+  match poll within exited with
   | Some (Unix.WEXITED 0) when String.ends_with ~suffix:"drained\n" (read_file log) -> ()
-  | _ -> fail "SIGTERM did not drain within 20 s:\n%s" (read_file log)
+  | _ -> fail "SIGTERM did not drain within %g s:\n%s" within (read_file log)
 
 (* a connection whose every read waits at most [timeout] s *)
 let connect ?(timeout = 5.) (_, _, port) =

@@ -453,6 +453,6 @@ let () =
       ("lease", lease_unit_tests);
       ("grant-wal", wal_tests);
       ("replay", replay_tests);
-      ("refused-line", refused_line_tests);
+      ("admission", refused_line_tests);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
