@@ -147,20 +147,20 @@ let schema ~name ~rows ~policy cols =
   | Error msg -> Error ("schema: " ^ msg)
   | Ok () when cols = [] -> Error "schema: no columns"
   | Ok () ->
-    let seen = Hashtbl.create 8 in
-    let rec check = function
-      | [] -> Ok { name; cols = Array.of_list cols; rows; policy }
-      | (c : col_schema) :: rest ->
-          if Hashtbl.mem seen c.col then
-            Error (Printf.sprintf "schema: duplicate column %S" c.col)
-          else if c.lo >= c.hi then
-            Error (Printf.sprintf "schema: column %S has lo >= hi" c.col)
-          else begin
-            Hashtbl.add seen c.col ();
-            check rest
-          end
-    in
-    check cols
+      let seen = Hashtbl.create 8 in
+      let rec check = function
+        | [] -> Ok { name; cols = Array.of_list cols; rows; policy }
+        | (c : col_schema) :: rest ->
+            if Hashtbl.mem seen c.col then
+              Error (Printf.sprintf "schema: duplicate column %S" c.col)
+            else if c.lo >= c.hi then
+              Error (Printf.sprintf "schema: column %S has lo >= hi" c.col)
+            else begin
+              Hashtbl.add seen c.col ();
+              check rest
+            end
+      in
+      check cols
 
 let schema_of (ds : dataset) =
   {
